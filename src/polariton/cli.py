@@ -5,18 +5,18 @@ file supplies the physical blocks; individual flags override it.  Exit
 codes: 0 success, 1 configuration problem, 2 numerical failure, 3
 verification failure.  All floating-point output is printed with 12
 significant digits so repeated runs with the same config and seed produce
-byte-identical files.  The POLARITON_NUM_THREADS environment variable caps
-the sweep worker pool.
+byte-identical files.  Sweep points run one after another in the calling
+thread; BLAS threads are set as usual, e.g. by OPENBLAS_NUM_THREADS.
 """
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +34,7 @@ from .classical import (
     transmission_spectrum,
 )
 from .dynamics import (
+    FLOP_PHOTON_CUTOFF,
     flop_spectrum,
     rabi_flop_signal,
     semiclassical_trajectory,
@@ -42,11 +43,11 @@ from .dynamics import (
 from .errors import ConfigurationError, DomainError, NumericalError
 from .holstein_primakoff import SpinRep, commutator_residual, hp_exactness_error
 from .model import (
+    BUILDERS,
     HilbertSpec,
     ModelParams,
     build_bilinear_hamiltonian,
-    build_dicke_hamiltonian,
-    build_jc_rwa_hamiltonian,
+    default_spec,
 )
 from .series import TimeGrid
 from .spectral import (
@@ -134,7 +135,7 @@ def _write_csv(path: Path, header, rows) -> None:
 class RunConfig:
     model: str
     params: ModelParams
-    hilbert: HilbertSpec | None
+    hilbert: dict  # the photon_cutoff and matter_dim the config gives
     cavity: CavityParams | None
     grid: TimeGrid | None
     freq_grid: tuple | None
@@ -153,6 +154,13 @@ def _take(block: dict, key, default=None):
 
 
 def _load_config(args) -> RunConfig:
+    try:
+        return _parse_config(args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"config value cannot be read: {exc}") from None
+
+
+def _parse_config(args) -> RunConfig:
     raw = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -185,13 +193,8 @@ def _load_config(args) -> RunConfig:
         n_atoms=int(_take(pblock, "n_atoms", 1)),
     )
 
-    hilbert = None
-    if "hilbert" in raw:
-        hblock = raw["hilbert"]
-        hilbert = HilbertSpec(
-            photon_cutoff=int(_take(hblock, "photon_cutoff", 12)),
-            matter_dim=int(_take(hblock, "matter_dim", 13)),
-        )
+    hblock = raw.get("hilbert", {})
+    hilbert = {k: int(hblock[k]) for k in ("photon_cutoff", "matter_dim") if k in hblock}
 
     cavity = None
     if "cavity" in raw:
@@ -229,8 +232,9 @@ def _load_config(args) -> RunConfig:
             if key not in fblock:
                 raise ConfigurationError(f"freq_grid block missing '{key}'")
         freq_grid = (float(fblock["min"]), float(fblock["max"]), int(fblock["n"]))
-        if not (freq_grid[0] < freq_grid[1]) or freq_grid[2] < 2:
-            raise ConfigurationError("freq_grid needs min < max and n >= 2")
+        finite = all(map(math.isfinite, freq_grid))
+        if not (finite and freq_grid[0] < freq_grid[1]) or freq_grid[2] < 2:
+            raise ConfigurationError("freq_grid needs finite min < max and n >= 2")
 
     n_eigenvalues = int(_take(raw.get("spectrum", {}), "n_eigenvalues", 10))
     if n_eigenvalues < 1:
@@ -239,6 +243,8 @@ def _load_config(args) -> RunConfig:
     iblock = raw.get("initial", {})
     initial_a = complex(float(_take(iblock, "a_re", 0.0)), float(_take(iblock, "a_im", 0.0)))
     initial_b = complex(float(_take(iblock, "b_re", 0.0)), float(_take(iblock, "b_im", 0.0)))
+    if not (cmath.isfinite(initial_a) and cmath.isfinite(initial_b)):
+        raise ConfigurationError("initial amplitudes must be finite")
 
     seed = int(raw.get("seed", DEFAULT_SEED))
     if getattr(args, "seed", None) is not None:
@@ -306,80 +312,76 @@ def _load_config(args) -> RunConfig:
     )
 
 
-def _default_hilbert(cfg: RunConfig, params: ModelParams) -> HilbertSpec:
-    if cfg.hilbert is not None:
-        if cfg.model in ("dicke", "jc-rwa") and cfg.hilbert.matter_dim != params.n_atoms + 1:
-            return HilbertSpec(cfg.hilbert.photon_cutoff, params.n_atoms + 1)
-        return cfg.hilbert
-    if cfg.model in ("dicke", "jc-rwa"):
-        return HilbertSpec(12, params.n_atoms + 1)
-    return HilbertSpec(12, 13)
+def _hilbert(cfg: RunConfig, model: str, params: ModelParams, cutoff: int) -> HilbertSpec:
+    """The configured truncation; a key the hilbert block omits follows
+    model.default_spec at the caller's photon cutoff."""
+    cutoff = cfg.hilbert.get("photon_cutoff", cutoff)
+    return dataclasses.replace(default_spec(model, params, cutoff), **cfg.hilbert)
 
 
 def _sweep_points(cfg: RunConfig, *, classical: bool):
     """Resolve the sweep axis against the right parameter block and return
     (label, [(value, params_or_cavity), ...])."""
+    base = cfg.cavity if classical else cfg.params
     if cfg.sweep is None:
-        target = cfg.cavity if classical else cfg.params
-        return None, [(None, target)]
+        return None, [(None, base)]
     name, values = cfg.sweep
-    if classical:
-        if cfg.cavity is None:
-            raise ConfigurationError("classical sweep needs a cavity block")
-        fields = {f.name for f in dataclasses.fields(CavityParams)}
-        if name not in fields:
-            raise ConfigurationError(
-                f"sweep axis '{name}' is not a cavity parameter ({sorted(fields)})"
-            )
-        cast = int if name == "n_dipoles" else float
-        return name, [
-            (v, dataclasses.replace(cfg.cavity, **{name: cast(v)})) for v in values
-        ]
-    fields = {f.name for f in dataclasses.fields(ModelParams)}
+    fields = {f.name for f in dataclasses.fields(base)}
     if name not in fields:
+        kind = "cavity" if classical else "model"
         raise ConfigurationError(
-            f"sweep axis '{name}' is not a model parameter ({sorted(fields)})"
+            f"sweep axis '{name}' is not a {kind} parameter ({sorted(fields)})"
         )
-    cast = int if name == "n_atoms" else float
-    return name, [
-        (v, dataclasses.replace(cfg.params, **{name: cast(v)})) for v in values
-    ]
-
-
-def _pool_size() -> int:
-    raw = os.environ.get("POLARITON_NUM_THREADS", "")
+    cast = int if name in ("n_atoms", "n_dipoles") else float
     try:
-        n = int(raw) if raw else 4
-    except ValueError:
-        raise ConfigurationError(f"POLARITON_NUM_THREADS must be an integer, got '{raw}'")
-    return max(1, n)
+        values = [(v, cast(v)) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"sweep values for '{name}' must be numbers") from None
+    return name, [(v, dataclasses.replace(base, **{name: x})) for v, x in values]
 
 
-def _run_points(worker, points):
-    """Evaluate sweep points in a worker pool; collection order is the
-    submission order, so output stays deterministic."""
-    if len(points) == 1:
-        return [worker(points[0])]
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        return list(pool.map(worker, points))
+# ------------------------------------------------------------------ output
+
+
+@dataclass
+class Result:
+    """What one run point writes: a JSON payload, CSV tables as
+    (header, rows) and SVG series as (xs, ys, title, x_label, y_label).
+    Tables and series are keyed by the suffix their file adds to the stem."""
+
+    payload: dict | None = None
+    tables: dict = dataclasses.field(default_factory=dict)
+    series: dict = dataclasses.field(default_factory=dict)
+
+
+def _emit(cfg: RunConfig, stem: str, result: Result, formats=None) -> None:
+    """Write {stem}{suffix}.csv/.svg and {stem}.json for each selected format."""
+    formats = cfg.formats if formats is None else formats
+    if "csv" in formats:
+        for suffix, (header, rows) in result.tables.items():
+            _write_csv(cfg.out_dir / f"{stem}{suffix}.csv", header, rows)
+    if "json" in formats and result.payload is not None:
+        _write_json(cfg.out_dir / f"{stem}.json", result.payload)
+    if "svg" in formats:
+        for suffix, (xs, ys, title, x_label, y_label) in result.series.items():
+            chart = svg.line_chart(xs, ys, title=title, x_label=x_label, y_label=y_label)
+            (cfg.out_dir / f"{stem}{suffix}.svg").write_text(chart)
+
+
+def _emit_points(cfg: RunConfig, verb: str, swept: bool, results) -> None:
+    for i, result in enumerate(results):
+        _emit(cfg, f"{verb}_{i:03d}" if swept else verb, result)
 
 
 # ------------------------------------------------------------------- verbs
 
 
-_BUILDERS = {
-    "bilinear": build_bilinear_hamiltonian,
-    "dicke": build_dicke_hamiltonian,
-    "jc-rwa": build_jc_rwa_hamiltonian,
-}
-
-
-def _spectrum_point(cfg, params):
-    spec = _default_hilbert(cfg, params)
-    h = _BUILDERS[cfg.model](params, spec)
+def _spectrum_point(cfg, params) -> Result:
+    spec = _hilbert(cfg, cfg.model, params, 12)
+    h = BUILDERS[cfg.model](params, spec)
     k = min(cfg.n_eigenvalues, h.dim)
     dec = eigendecompose(h, seed=cfg.seed)
-    values = dec.eigenvalues[:k]
+    values = [float(v) for v in dec.eigenvalues[:k]]
     payload = {
         "model": cfg.model,
         "omega_a": params.omega_a,
@@ -389,15 +391,19 @@ def _spectrum_point(cfg, params):
         "collective_coupling": params.collective_coupling,
         "photon_cutoff": spec.photon_cutoff,
         "matter_dim": spec.matter_dim,
-        "ground_energy": float(values[0]),
-        "first_gap": float(values[1] - values[0]) if k > 1 else None,
-        "eigenvalues": [float(v) for v in values],
+        "ground_energy": values[0],
+        "first_gap": values[1] - values[0] if k > 1 else None,
+        "eigenvalues": values,
     }
     if cfg.model == "bilinear":
         modes = normal_modes(params)
         payload["omega_minus"] = modes.omega_minus
         payload["omega_plus"] = modes.omega_plus
-    return payload
+    return Result(
+        payload,
+        tables={"": (["index", "energy [hbar=1 input frequency units]"], enumerate(values))},
+        series={"": (list(range(k)), values, f"{cfg.model} spectrum", "index", "energy")},
+    )
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
@@ -406,54 +412,25 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     if cfg.model == "semiclassical":
         raise ConfigurationError("spectrum needs a quantum model or 'classical'")
     name, points = _sweep_points(cfg, classical=False)
-    results = _run_points(lambda p: _spectrum_point(cfg, p[1]), points)
-
-    summary_rows = []
-    for i, ((value, _), payload) in enumerate(zip(points, results)):
-        stem = f"spectrum_{i:03d}" if name else "spectrum"
-        if "csv" in cfg.formats:
-            rows = [(j, e) for j, e in enumerate(payload["eigenvalues"])]
-            _write_csv(
-                cfg.out_dir / f"{stem}.csv",
-                ["index", "energy [hbar=1 input frequency units]"],
-                rows,
-            )
-        if "json" in cfg.formats:
-            _write_json(cfg.out_dir / f"{stem}.json", payload)
-        if "svg" in cfg.formats:
-            chart = svg.line_chart(
-                list(range(len(payload["eigenvalues"]))),
-                payload["eigenvalues"],
-                title=f"{cfg.model} spectrum",
-                x_label="index",
-                y_label="energy",
-            )
-            (cfg.out_dir / f"{stem}.svg").write_text(chart)
-        summary_rows.append(
-            (value, payload["ground_energy"], payload["first_gap"])
-        )
+    results = [_spectrum_point(cfg, params) for _, params in points]
+    _emit_points(cfg, "spectrum", bool(name), results)
     if name:
-        _write_csv(
-            cfg.out_dir / "spectrum_summary.csv",
-            [name, "ground_energy [hbar=1 input frequency units]",
-             "first_gap [hbar=1 input frequency units]"],
-            summary_rows,
-        )
+        header = [name, "ground_energy [hbar=1 input frequency units]",
+                  "first_gap [hbar=1 input frequency units]"]
+        rows = [(value, r.payload["ground_energy"], r.payload["first_gap"])
+                for (value, _), r in zip(points, results)]
+        _emit(cfg, "spectrum_summary", Result(tables={"": (header, rows)}))
     print(f"spectrum: wrote {len(results)} point(s) to {cfg.out_dir}")
     return 0
 
 
-def _witness_point(cfg, params):
-    spec = cfg.hilbert if cfg.hilbert is not None else HilbertSpec(16, 17)
+def _witness_point(cfg, params) -> Result:
+    spec = _hilbert(cfg, "bilinear", params, 16)
     h = build_bilinear_hamiltonian(params, spec)
     energy, state = ground_state(h, seed=cfg.seed)
     verdict = witness_evaluate(h, state, params)
     rho = reduced_density(state, spec, "photon")
-    fock = linear_entropy(rho)
-    gauss = gaussian_linear_entropy(gaussian_ground_state(params), "photon")
-    predicted = linear_entropy_predicted(params)
-    scan = separable_bound_scan(params)
-    return {
+    return Result({
         "omega_a": params.omega_a,
         "omega_b": params.omega_b,
         "collective_coupling": params.collective_coupling,
@@ -461,189 +438,146 @@ def _witness_point(cfg, params):
         "witness_value": verdict.value,
         "separable_floor": verdict.separable_floor,
         "verdict": verdict.verdict,
-        "coherent_scan_minimum": scan.minimum,
-        "entropy_fock": fock,
-        "entropy_gaussian": gauss,
-        "entropy_predicted": predicted,
-    }
+        "coherent_scan_minimum": separable_bound_scan(params).minimum,
+        "entropy_fock": linear_entropy(rho),
+        "entropy_gaussian": gaussian_linear_entropy(gaussian_ground_state(params), "photon"),
+        "entropy_predicted": linear_entropy_predicted(params),
+    })
 
 
 def cmd_witness(cfg: RunConfig, args) -> int:
     name, points = _sweep_points(cfg, classical=False)
     try:
-        results = _run_points(lambda p: _witness_point(cfg, p[1]), points)
+        results = [_witness_point(cfg, params) for _, params in points]
     except DomainError as exc:
-        refusal = {"status": "refused", "reason": str(exc)}
-        if "json" in cfg.formats:
-            _write_json(cfg.out_dir / "witness.json", refusal)
+        _emit(cfg, "witness", Result({"status": "refused", "reason": str(exc)}))
         print(f"witness: refused ({exc})", file=sys.stderr)
         return 1
-
-    for i, payload in enumerate(results):
-        stem = f"witness_{i:03d}" if name else "witness"
-        if "json" in cfg.formats:
-            _write_json(cfg.out_dir / f"{stem}.json", payload)
-    if "csv" in cfg.formats:
-        header = [
-            name or "point",
-            "witness_value [hbar=1 input frequency units]",
-            "verdict",
-            "entropy_fock [1]",
-            "entropy_gaussian [1]",
-            "entropy_predicted [1]",
-        ]
-        rows = [
-            (
-                value if name else i,
-                r["witness_value"],
-                r["verdict"],
-                r["entropy_fock"],
-                r["entropy_gaussian"],
-                r["entropy_predicted"],
-            )
-            for i, ((value, _), r) in enumerate(zip(points, results))
-        ]
-        _write_csv(cfg.out_dir / "witness_summary.csv", header, rows)
-    verdicts = ", ".join(r["verdict"] for r in results)
+    _emit_points(cfg, "witness", bool(name), results)
+    header = [
+        name or "point",
+        "witness_value [hbar=1 input frequency units]",
+        "verdict",
+        "entropy_fock [1]",
+        "entropy_gaussian [1]",
+        "entropy_predicted [1]",
+    ]
+    keys = ("witness_value", "verdict", "entropy_fock", "entropy_gaussian", "entropy_predicted")
+    rows = [
+        (value if name else i, *(r.payload[key] for key in keys))
+        for i, ((value, _), r) in enumerate(zip(points, results))
+    ]
+    _emit(cfg, "witness_summary", Result(tables={"": (header, rows)}))
+    verdicts = ", ".join(r.payload["verdict"] for r in results)
     print(f"witness: {verdicts} (files in {cfg.out_dir})")
     return 0
+
+
+def _rabi_flop(cfg, params):
+    model = cfg.model if cfg.model in QUANTUM_MODELS else "bilinear"
+    # dt must resolve the spectral radius of the default truncation
+    grid = cfg.grid or TimeGrid(32768, 0.01)
+    spec = _hilbert(cfg, model, params, FLOP_PHOTON_CUTOFF[model])
+    traj = rabi_flop_signal(params, grid, model=model, spec=spec, seed=cfg.seed)
+    signal = traj.channels["matter_excitation"]
+    spectrum = flop_spectrum(traj, channel="matter_excitation")
+    peak = float(spectrum.frequencies[int(np.argmax(spectrum.intensities))])
+    payload = {
+        "model": model,
+        "collective_coupling": params.collective_coupling,
+        "dominant_frequency": peak,
+    }
+    if model == "bilinear":
+        payload["normal_mode_splitting"] = normal_modes(params).splitting
+    if model == "jc-rwa":
+        payload["single_excitation_splitting"] = 2.0 * params.collective_coupling
+    power = (spectrum.frequencies, spectrum.intensities)
+    header = ["time [1/input frequency]", "matter_excitation [1]"]
+    result = Result(
+        payload,
+        tables={
+            "": (header, zip(traj.times, signal)),
+            "_spectrum": (["omega [input frequency units]", "power [arb]"], zip(*power)),
+        },
+        series={
+            "": (traj.times, signal, "matter excitation", "time", "<n_b>"),
+            "_spectrum": (*power, "flopping spectrum", "omega", "power"),
+        },
+    )
+    return result, f"dominant frequency {_fmt(peak)}"
+
+
+def _semiclassical(cfg, params):
+    grid = cfg.grid or TimeGrid(20000, 0.01)
+    traj = semiclassical_trajectory(params, cfg.initial_a, cfg.initial_b, grid)
+    a, b, energy = (traj.channels[key] for key in ("a", "b", "energy"))
+    payload = {
+        "collective_coupling": params.collective_coupling,
+        "initial_a": [cfg.initial_a.real, cfg.initial_a.imag],
+        "initial_b": [cfg.initial_b.real, cfg.initial_b.imag],
+        "max_abs_a": float(np.abs(a).max()),
+        "max_abs_b": float(np.abs(b).max()),
+        "energy_drift": float(np.max(np.abs(energy - energy[0]))),
+    }
+    header = ["time [1/input frequency]", "re_a [1]", "im_a [1]",
+              "re_b [1]", "im_b [1]", "energy [hbar=1 input frequency units]"]
+    result = Result(
+        payload,
+        tables={"": (header, zip(traj.times, a.real, a.imag, b.real, b.imag, energy))},
+        series={"": (traj.times, a.real, "mean field", "time", "Re <a>")},
+    )
+    return result, (
+        f"max |<a>| {_fmt(payload['max_abs_a'])}, max |<b>| {_fmt(payload['max_abs_b'])}"
+    )
+
+
+def _vacuum_correlation(cfg, params):
+    grid = cfg.grid or TimeGrid(8192, 0.05)
+    spec = _hilbert(cfg, "bilinear", params, 12)
+    spectrum = vacuum_correlation_spectrum(params, grid, spec=spec, seed=cfg.seed)
+    modes = normal_modes(params)
+    floor = 0.01 * float(spectrum.intensities.max())
+    lines = [
+        {"omega": float(f), "weight": float(v)}
+        for f, v in zip(spectrum.frequencies, spectrum.intensities)
+        if v >= floor
+    ]
+    payload = {
+        "collective_coupling": params.collective_coupling,
+        "omega_minus": modes.omega_minus,
+        "omega_plus": modes.omega_plus,
+        "total_weight": float(spectrum.intensities.sum()),
+        "peaks": lines,
+    }
+    weights = (spectrum.frequencies, spectrum.intensities)
+    result = Result(
+        payload,
+        tables={"": (["omega [input frequency units]", "weight [1]"], zip(*weights))},
+        series={"": (*weights, "vacuum correlation spectrum", "omega", "weight")},
+    )
+    return result, f"{len(lines)} line(s) above floor"
+
+
+_DYNAMICS = {
+    "rabi-flop": _rabi_flop,
+    "semiclassical": _semiclassical,
+    "vacuum-correlation": _vacuum_correlation,
+}
 
 
 def cmd_dynamics(cfg: RunConfig, args) -> int:
     kind = args.kind
     if cfg.sweep is not None:
         raise ConfigurationError("dynamics does not support sweeps")
-    params = cfg.params
-
-    if kind == "rabi-flop":
-        model = cfg.model if cfg.model in QUANTUM_MODELS else "bilinear"
-        # dt must resolve the spectral radius of the default truncation
-        grid = cfg.grid or TimeGrid(32768, 0.01)
-        spec = _default_hilbert(cfg, params) if cfg.hilbert is not None else None
-        traj = rabi_flop_signal(params, grid, model=model, spec=spec, seed=cfg.seed)
-        spectrum = flop_spectrum(traj, channel="matter_excitation")
-        peak = float(spectrum.frequencies[int(np.argmax(spectrum.intensities))])
-        payload = {
-            "model": model,
-            "collective_coupling": params.collective_coupling,
-            "dominant_frequency": peak,
-        }
-        if model == "bilinear":
-            payload["normal_mode_splitting"] = normal_modes(params).splitting
-        if model == "jc-rwa":
-            payload["single_excitation_splitting"] = 2.0 * params.collective_coupling
-        if "csv" in cfg.formats:
-            _write_csv(
-                cfg.out_dir / "rabi_flop.csv",
-                ["time [1/input frequency]", "matter_excitation [1]"],
-                zip(traj.times, traj.channels["matter_excitation"]),
-            )
-            _write_csv(
-                cfg.out_dir / "rabi_flop_spectrum.csv",
-                ["omega [input frequency units]", "power [arb]"],
-                zip(spectrum.frequencies, spectrum.intensities),
-            )
-        if "json" in cfg.formats:
-            _write_json(cfg.out_dir / "rabi_flop.json", payload)
-        if "svg" in cfg.formats:
-            (cfg.out_dir / "rabi_flop.svg").write_text(
-                svg.line_chart(
-                    traj.times, traj.channels["matter_excitation"],
-                    title="matter excitation", x_label="time", y_label="<n_b>",
-                )
-            )
-            (cfg.out_dir / "rabi_flop_spectrum.svg").write_text(
-                svg.line_chart(
-                    spectrum.frequencies, spectrum.intensities,
-                    title="flopping spectrum", x_label="omega", y_label="power",
-                )
-            )
-        print(f"dynamics rabi-flop: dominant frequency {_fmt(peak)}")
-        return 0
-
-    if kind == "semiclassical":
-        grid = cfg.grid or TimeGrid(20000, 0.01)
-        traj = semiclassical_trajectory(params, cfg.initial_a, cfg.initial_b, grid)
-        amp_a = np.abs(traj.channels["a"])
-        amp_b = np.abs(traj.channels["b"])
-        energy = traj.channels["energy"]
-        drift = float(np.max(np.abs(energy - energy[0])))
-        payload = {
-            "collective_coupling": params.collective_coupling,
-            "initial_a": [cfg.initial_a.real, cfg.initial_a.imag],
-            "initial_b": [cfg.initial_b.real, cfg.initial_b.imag],
-            "max_abs_a": float(amp_a.max()),
-            "max_abs_b": float(amp_b.max()),
-            "energy_drift": drift,
-        }
-        if "csv" in cfg.formats:
-            _write_csv(
-                cfg.out_dir / "semiclassical.csv",
-                ["time [1/input frequency]", "re_a [1]", "im_a [1]",
-                 "re_b [1]", "im_b [1]", "energy [hbar=1 input frequency units]"],
-                zip(
-                    traj.times,
-                    traj.channels["a"].real, traj.channels["a"].imag,
-                    traj.channels["b"].real, traj.channels["b"].imag,
-                    energy,
-                ),
-            )
-        if "json" in cfg.formats:
-            _write_json(cfg.out_dir / "semiclassical.json", payload)
-        if "svg" in cfg.formats:
-            (cfg.out_dir / "semiclassical.svg").write_text(
-                svg.line_chart(
-                    traj.times, traj.channels["a"].real,
-                    title="mean field", x_label="time", y_label="Re <a>",
-                )
-            )
-        print(
-            "dynamics semiclassical: max |<a>| "
-            f"{_fmt(payload['max_abs_a'])}, max |<b>| {_fmt(payload['max_abs_b'])}"
-        )
-        return 0
-
-    if kind == "vacuum-correlation":
-        grid = cfg.grid or TimeGrid(8192, 0.05)
-        spec = cfg.hilbert
-        spectrum = vacuum_correlation_spectrum(params, grid, spec=spec, seed=cfg.seed)
-        modes = normal_modes(params)
-        floor = 0.01 * float(spectrum.intensities.max())
-        lines = [
-            (float(f), float(v))
-            for f, v in zip(spectrum.frequencies, spectrum.intensities)
-            if v >= floor
-        ]
-        payload = {
-            "collective_coupling": params.collective_coupling,
-            "omega_minus": modes.omega_minus,
-            "omega_plus": modes.omega_plus,
-            "total_weight": float(spectrum.intensities.sum()),
-            "peaks": [{"omega": f, "weight": v} for f, v in lines],
-        }
-        if "csv" in cfg.formats:
-            _write_csv(
-                cfg.out_dir / "vacuum_correlation.csv",
-                ["omega [input frequency units]", "weight [1]"],
-                zip(spectrum.frequencies, spectrum.intensities),
-            )
-        if "json" in cfg.formats:
-            _write_json(cfg.out_dir / "vacuum_correlation.json", payload)
-        if "svg" in cfg.formats:
-            (cfg.out_dir / "vacuum_correlation.svg").write_text(
-                svg.line_chart(
-                    spectrum.frequencies, spectrum.intensities,
-                    title="vacuum correlation spectrum",
-                    x_label="omega", y_label="weight",
-                )
-            )
-        print(f"dynamics vacuum-correlation: {len(lines)} line(s) above floor")
-        return 0
-
-    raise ConfigurationError(f"unknown dynamics kind '{kind}'")
+    if kind not in _DYNAMICS:
+        raise ConfigurationError(f"unknown dynamics kind '{kind}'")
+    result, message = _DYNAMICS[kind](cfg, cfg.params)
+    _emit(cfg, kind.replace("-", "_"), result)
+    print(f"dynamics {kind}: {message}")
+    return 0
 
 
-def _classical_point(cfg, cavity):
+def _classical_point(cfg, cavity) -> Result:
     if cfg.freq_grid is not None:
         lo, hi, n = cfg.freq_grid
         omegas = np.linspace(lo, hi, n)
@@ -672,44 +606,29 @@ def _classical_point(cfg, cavity):
     except (ConfigurationError, DomainError):
         payload["quantum_splitting"] = None
         payload["relative_deviation"] = None
-    return spectrum, payload
+    curve = (spectrum.frequencies, spectrum.intensities)
+    return Result(
+        payload,
+        tables={"": (["omega [rad/s]", "transmission [1]"], zip(*curve))},
+        series={"": (*curve, "cavity transmission", "omega [rad/s]", "T")},
+    )
 
 
 def cmd_classical(cfg: RunConfig, args) -> int:
     if cfg.cavity is None:
         raise ConfigurationError("classical runs need a cavity block in the config")
     name, points = _sweep_points(cfg, classical=True)
-    results = _run_points(lambda p: _classical_point(cfg, p[1]), points)
-
-    summary_rows = []
-    for i, ((value, _), (spectrum, payload)) in enumerate(zip(points, results)):
-        stem = f"classical_{i:03d}" if name else "classical"
-        if "csv" in cfg.formats:
-            _write_csv(
-                cfg.out_dir / f"{stem}.csv",
-                ["omega [rad/s]", "transmission [1]"],
-                zip(spectrum.frequencies, spectrum.intensities),
-            )
-        if "json" in cfg.formats:
-            _write_json(cfg.out_dir / f"{stem}.json", payload)
-        if "svg" in cfg.formats:
-            (cfg.out_dir / f"{stem}.svg").write_text(
-                svg.line_chart(
-                    spectrum.frequencies, spectrum.intensities,
-                    title="cavity transmission",
-                    x_label="omega [rad/s]", y_label="T",
-                )
-            )
-        summary_rows.append(
-            (value, payload["splitting"], payload["predicted_splitting"], payload["flag"])
-        )
+    results = [_classical_point(cfg, cavity) for _, cavity in points]
+    _emit_points(cfg, "classical", bool(name), results)
     if name:
-        _write_csv(
-            cfg.out_dir / "classical_summary.csv",
-            [name, "splitting [rad/s]", "predicted_splitting [rad/s]", "flag"],
-            summary_rows,
-        )
-    flags = ", ".join(p["flag"] for _, p in results)
+        header = [name, "splitting [rad/s]", "predicted_splitting [rad/s]", "flag"]
+        keys = ("splitting", "predicted_splitting", "flag")
+        rows = [
+            (value, *(r.payload[key] for key in keys))
+            for (value, _), r in zip(points, results)
+        ]
+        _emit(cfg, "classical_summary", Result(tables={"": (header, rows)}))
+    flags = ", ".join(r.payload["flag"] for r in results)
     print(f"classical: {flags} (files in {cfg.out_dir})")
     return 0
 
@@ -775,7 +694,7 @@ def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
     ladder = cutoff_convergence(
         "bilinear", params, (8, 10, 12), tol=tolerances["cutoff_final_delta"], seed=seed
     )
-    h = build_bilinear_hamiltonian(params, HilbertSpec(12, 13))
+    h = build_bilinear_hamiltonian(params, default_spec("bilinear", params, 12))
     dec = eigendecompose(h, seed=seed)
     modes = normal_modes(params)
     gap_lo = abs(float(dec.eigenvalues[1] - dec.eigenvalues[0]) - modes.omega_minus)
@@ -798,7 +717,7 @@ def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
     worst_gap = 0.0
     for lam in (0.05, 0.1, 0.2, 0.3):
         p = ModelParams.from_collective(1.0, 1.0, lam)
-        spec = HilbertSpec(16, 17)
+        spec = default_spec("bilinear", p, 16)
         _, state = ground_state(build_bilinear_hamiltonian(p, spec), seed=seed)
         fock = linear_entropy(reduced_density(state, spec, "photon"))
         gauss = gaussian_linear_entropy(gaussian_ground_state(p), "photon")
@@ -868,7 +787,8 @@ def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     report = run_verification(cfg.verify_tolerances, seed=cfg.seed)
-    _write_json(cfg.out_dir / "verify_report.json", report)
+    # the report is written whatever the selected formats
+    _emit(cfg, "verify_report", Result(report), formats=("json",))
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"verify: {check['name']}: {status}")

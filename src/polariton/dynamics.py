@@ -20,14 +20,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import (
+    BUILDERS,
     HermitianOperator,
     HilbertSpec,
     ModelParams,
     StateVector,
     annihilation_matrix,
     build_bilinear_hamiltonian,
-    build_dicke_hamiltonian,
-    build_jc_rwa_hamiltonian,
+    default_spec,
 )
 from .series import SpectrumSeries, TimeGrid, Trajectory
 from .spectral import DEFAULT_SEED, eigendecompose, normal_modes
@@ -74,17 +74,9 @@ def evolve(
     return Trajectory(times=times, channels={"state": states})
 
 
-_FLOP_BUILDERS = {
-    "bilinear": build_bilinear_hamiltonian,
-    "dicke": build_dicke_hamiltonian,
-    "jc-rwa": build_jc_rwa_hamiltonian,
-}
-
-
-def _default_flop_spec(model: str, params: ModelParams) -> HilbertSpec:
-    if model == "bilinear":
-        return HilbertSpec(photon_cutoff=12, matter_dim=13)
-    return HilbertSpec(photon_cutoff=4, matter_dim=params.n_atoms + 1)
+# default photon cutoff of the flopping signal per model; the spin models
+# stay small so the default time step resolves their spectral radius
+FLOP_PHOTON_CUTOFF = {"bilinear": 12, "dicke": 4, "jc-rwa": 4}
 
 
 def rabi_flop_signal(
@@ -99,13 +91,13 @@ def rabi_flop_signal(
     empty cavity.  Works for any of the quantum builders; the matter index k
     is the excitation count in all of them, so the observable is the
     diagonal weight sum_i k_i |psi_i|^2."""
-    if model not in _FLOP_BUILDERS:
+    if model not in BUILDERS:
         raise ConfigurationError(
-            f"unknown model '{model}', expected one of {sorted(_FLOP_BUILDERS)}"
+            f"unknown model '{model}', expected one of {sorted(BUILDERS)}"
         )
     if spec is None:
-        spec = _default_flop_spec(model, params)
-    h = _FLOP_BUILDERS[model](params, spec)
+        spec = default_spec(model, params, FLOP_PHOTON_CUTOFF[model])
+    h = BUILDERS[model](params, spec)
     dec = eigendecompose(h, seed=seed)
     _check_dt(grid, float(np.max(np.abs(dec.eigenvalues))))
     psi0 = StateVector.product_fock(spec, 0, 1)
@@ -222,7 +214,7 @@ def vacuum_correlation_spectrum(
     truncated eigenbasis).  No time stepping is involved."""
     params.require_bilinear_stable()
     if spec is None:
-        spec = HilbertSpec(photon_cutoff=12, matter_dim=13)
+        spec = default_spec("bilinear", params, 12)
     h = build_bilinear_hamiltonian(params, spec)
     dec = eigendecompose(h, seed=seed)
     ground = dec.eigenvectors[:, 0]

@@ -32,6 +32,7 @@ from .model import (
     annihilation_matrix,
     build_bilinear_hamiltonian,
     build_dicke_hamiltonian,
+    default_spec,
 )
 from .spectral import DEFAULT_SEED, eigendecompose
 
@@ -185,7 +186,7 @@ def dicke_vs_bilinear_gap(
         dparams = ModelParams.from_collective(
             params.omega_a, params.omega_b, lam, n_atoms=n
         )
-        dspec = HilbertSpec(photon_cutoff=photon_cutoff, matter_dim=n + 1)
+        dspec = default_spec("dicke", dparams, photon_cutoff)
         ddec = eigendecompose(build_dicke_hamiltonian(dparams, dspec), seed=seed)
         gap = float(ddec.eigenvalues[1] - ddec.eigenvalues[0])
         gaps.append(gap)

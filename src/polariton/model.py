@@ -42,6 +42,9 @@ class ModelParams:
     n_atoms: int
 
     def __post_init__(self):
+        values = (self.omega_a, self.omega_b, self.g, self.n_atoms)
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(f"model parameters must be finite, got {values}")
         if not (self.omega_a > 0.0 and self.omega_b > 0.0):
             raise DomainError(
                 f"mode frequencies must be positive, got omega_a={self.omega_a}, "
@@ -332,6 +335,25 @@ def build_jc_rwa_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermitia
     h += params.omega_b * np.kron(np.eye(dp), excitation)
     h += params.g * (np.kron(a.T, jm) + np.kron(a, jp))
     return HermitianOperator.from_dense(h)
+
+
+BUILDERS = {
+    "bilinear": build_bilinear_hamiltonian,
+    "dicke": build_dicke_hamiltonian,
+    "jc-rwa": build_jc_rwa_hamiltonian,
+}
+
+
+def default_spec(model: str, params: ModelParams, photon_cutoff: int) -> HilbertSpec:
+    """Truncation at the given photon cutoff: the bilinear matter oscillator
+    keeps photon_cutoff + 1 levels like the photon mode, the spin models
+    their full n_atoms + 1 ladder."""
+    if model not in BUILDERS:
+        raise ConfigurationError(
+            f"unknown model '{model}', expected one of {sorted(BUILDERS)}"
+        )
+    matter_dim = photon_cutoff + 1 if model == "bilinear" else params.n_atoms + 1
+    return HilbertSpec(photon_cutoff=photon_cutoff, matter_dim=matter_dim)
 
 
 def total_excitation_operator(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:

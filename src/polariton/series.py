@@ -1,6 +1,7 @@
 """Sampled time and frequency series shared by the dynamics and cavity code."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +21,8 @@ class TimeGrid:
             raise ConfigurationError(
                 f"n_samples must be an integer >= 2, got {self.n_samples}"
             )
-        if not (self.dt > 0.0):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def times(self) -> np.ndarray:

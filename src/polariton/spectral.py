@@ -8,13 +8,12 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
 from .model import (
+    BUILDERS,
     HermitianOperator,
-    HilbertSpec,
     ModelParams,
     StateVector,
-    build_bilinear_hamiltonian,
-    build_dicke_hamiltonian,
     build_jc_rwa_hamiltonian,
+    default_spec,
 )
 
 DEFAULT_SEED = 1234
@@ -60,14 +59,14 @@ def _validate_decomposition(h: HermitianOperator, values, vectors):
     dense = h.to_dense()
     resid = np.linalg.norm(dense @ vectors - vectors * values, axis=0)
     worst = float(resid.max()) if resid.size else 0.0
-    if worst > RESIDUAL_TOL * scale:
+    if not (worst <= RESIDUAL_TOL * scale):
         raise NumericalError(
             f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} * |H|",
             residual=worst,
         )
     gram = vectors.conj().T @ vectors
     ortho = float(np.max(np.abs(gram - np.eye(values.size))))
-    if ortho > ORTHONORMALITY_TOL:
+    if not (ortho <= ORTHONORMALITY_TOL):
         raise NumericalError(
             f"eigenvector orthonormality defect {ortho:.3e}", residual=ortho
         )
@@ -189,19 +188,6 @@ def ground_energy_bilinear(params: ModelParams) -> float:
     )
 
 
-_BUILDERS = {
-    "bilinear": build_bilinear_hamiltonian,
-    "dicke": build_dicke_hamiltonian,
-    "jc-rwa": build_jc_rwa_hamiltonian,
-}
-
-
-def _spec_for(builder: str, params: ModelParams, cutoff: int) -> HilbertSpec:
-    if builder == "bilinear":
-        return HilbertSpec(photon_cutoff=cutoff, matter_dim=cutoff + 1)
-    return HilbertSpec(photon_cutoff=cutoff, matter_dim=params.n_atoms + 1)
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     cutoffs: tuple
@@ -231,9 +217,9 @@ def cutoff_convergence(
     cutoffs.  The bilinear matter block grows with the cutoff as well; the
     spin models keep their fixed matter ladder.  Observable is
     "ground_energy" or "first_gap"."""
-    if builder not in _BUILDERS:
+    if builder not in BUILDERS:
         raise ConfigurationError(
-            f"unknown builder '{builder}', expected one of {sorted(_BUILDERS)}"
+            f"unknown builder '{builder}', expected one of {sorted(BUILDERS)}"
         )
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) < 2:
@@ -245,7 +231,7 @@ def cutoff_convergence(
 
     values = []
     for cutoff in cutoffs:
-        h = _BUILDERS[builder](params, _spec_for(builder, params, cutoff))
+        h = BUILDERS[builder](params, default_spec(builder, params, cutoff))
         dec = eigendecompose(h, seed=seed)
         if observable == "ground_energy":
             values.append(float(dec.eigenvalues[0]))
@@ -267,7 +253,6 @@ def jc_polariton_splitting(
             "single-excitation branches are no longer the lowest excited "
             "states at this coupling"
         )
-    spec = HilbertSpec(photon_cutoff=photon_cutoff, matter_dim=params.n_atoms + 1)
-    h = build_jc_rwa_hamiltonian(params, spec)
+    h = build_jc_rwa_hamiltonian(params, default_spec("jc-rwa", params, photon_cutoff))
     dec = eigendecompose(h, seed=seed)
     return float(dec.eigenvalues[2] - dec.eigenvalues[1])

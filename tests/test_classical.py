@@ -7,6 +7,7 @@ from scipy.constants import c as LIGHT_SPEED
 
 from polariton.classical import (
     CavityParams,
+    _peak_indices,
     classical_quantum_agreement,
     lorentz_permittivity,
     matched_coupling,
@@ -58,6 +59,10 @@ def test_cavity_validation():
         _cavity(gamma=-1.0)
     with pytest.raises(DomainError):
         _cavity(n_dipoles=-1)
+    with pytest.raises(DomainError):
+        _cavity(gamma=math.nan)
+    with pytest.raises(DomainError):
+        _cavity(dipole_moment=math.inf)
     # zero dipoles is the empty cavity, which is fine
     assert _cavity(n_dipoles=0).n_dipoles == 0
 
@@ -143,6 +148,24 @@ def test_peak_splitting_degenerate_inputs():
         + 1.0 / (1.0 + ((grid - 0.8) / 0.02) ** 2)
     )
     assert peak_splitting(SpectrumSeries(grid, three)).flag == "multi-peak"
+    # a flat top is not a strict maximum, so only the peak at index 6 counts
+    plateau = np.array([0.0, 1.0, 3.0, 3.0, 1.0, 0.0, 2.0, 0.0])
+    report = peak_splitting(SpectrumSeries(np.arange(8.0), plateau))
+    assert report.flag == "no-splitting"
+    assert report.peak_frequencies == (6.0,)
+
+
+def test_peak_rule_matches_scipy_find_peaks():
+    from scipy.signal import find_peaks
+
+    rng = np.random.default_rng(7)
+    for trial in range(400):
+        n = int(rng.integers(3, 40))
+        # integer levels give ties and plateaus
+        vals = rng.integers(0, 4, n).astype(float) if trial % 2 else rng.random(n)
+        floor = rng.uniform(0.01, 0.99) * vals.max()
+        expected = find_peaks(vals, prominence=floor, plateau_size=(1, 1))[0]
+        assert [int(i) for i in _peak_indices(vals, floor)] == expected.tolist()
 
 
 def test_predicted_splitting_scalings():

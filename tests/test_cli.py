@@ -1,9 +1,26 @@
 """End-to-end runs of the command line verbs."""
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polariton
 from polariton.cli import main, reference_cavity
+
+SRC = Path(polariton.__file__).resolve().parents[1]
+
+
+def _run_cli(argv, **env):
+    """Run the CLI in a fresh interpreter with extra environment variables."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
+    )
 
 
 def _write_config(path, payload):
@@ -139,17 +156,34 @@ def test_classical_verb(tmp_path):
     assert "rad/s" in header
 
 
-def test_sweep_is_thread_order_independent(tmp_path, monkeypatch):
-    def run(out_name, threads):
-        cfg = _write_config(
-            tmp_path / f"{out_name}.json",
-            {"output": {"dir": str(tmp_path / out_name), "formats": ["csv"]}},
-        )
-        monkeypatch.setenv("POLARITON_NUM_THREADS", str(threads))
-        assert main(["witness", "--config", cfg, "--sweep", "g=0.05,0.1,0.2,0.3"]) == 0
-        return (tmp_path / out_name / "witness_summary.csv").read_bytes()
+def test_sweep_point_matches_single_run(tmp_path):
+    sweep = _write_config(
+        tmp_path / "sweep.json",
+        {"output": {"dir": str(tmp_path / "sweep"), "formats": ["json"]}},
+    )
+    assert main(["witness", "--config", sweep, "--sweep", "g=0.05,0.1,0.2,0.3"]) == 0
+    single = _write_config(
+        tmp_path / "single.json",
+        {"params": {"g": 0.2}, "output": {"dir": str(tmp_path / "single"), "formats": ["json"]}},
+    )
+    assert main(["witness", "--config", single]) == 0
+    point = (tmp_path / "sweep" / "witness_002.json").read_bytes()
+    assert point == (tmp_path / "single" / "witness.json").read_bytes()
 
-    assert run("serial", 1) == run("pooled", 4)
+
+def test_sweep_is_thread_order_independent(tmp_path):
+    """The BLAS thread count does not change a byte of the sweep output."""
+
+    def run(threads):
+        out = tmp_path / f"blas{threads}"
+        argv = ["-m", "polariton.cli", "witness", "--sweep", "g=0.05,0.1,0.2,0.3",
+                "--format", "csv,json", "--out", str(out)]
+        _run_cli(argv, OPENBLAS_NUM_THREADS=str(threads))
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    one = run(1)
+    assert len(one) == 5
+    assert one == run(2)
 
 
 def test_verify_accepts_tolerance_overrides(tmp_path):
@@ -179,6 +213,90 @@ def test_configuration_errors_exit_one(tmp_path):
     assert main(["spectrum", "--sweep", "gnarble"]) == 1
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+    nan_g = _write_config(
+        tmp_path / "nan.json", {"model": "dicke", "params": {"g": math.nan, "n_atoms": 3}}
+    )
+    assert main(["spectrum", "--config", nan_g, "--out", str(tmp_path / "nan")]) == 1
+    assert not (tmp_path / "nan").exists()
+    bad_value = _write_config(tmp_path / "v.json", {"sweep": {"name": "g", "values": ["abc"]}})
+    assert main(["spectrum", "--config", bad_value, "--out", str(tmp_path / "v")]) == 1
+    assert main(["spectrum", "--sweep", "g=abc", "--out", str(tmp_path / "v")]) == 1
+
+
+def test_hilbert_block_is_used_as_given(tmp_path):
+    def spectrum(name, model, hilbert):
+        out = tmp_path / name
+        cfg = _write_config(
+            tmp_path / f"{name}.json",
+            {
+                "model": model,
+                "params": {"g": 0.1, "n_atoms": 3},
+                "hilbert": hilbert,
+                "output": {"dir": str(out), "formats": ["json"]},
+            },
+        )
+        code = main(["spectrum", "--config", cfg])
+        if code != 0:
+            return code
+        payload = json.loads((out / "spectrum.json").read_text())
+        return payload["photon_cutoff"], payload["matter_dim"]
+
+    # a given matter_dim is never replaced, so a mismatch is refused
+    assert spectrum("mismatch", "dicke", {"photon_cutoff": 8, "matter_dim": 9}) == 1
+    assert spectrum("bilinear_given", "bilinear", {"matter_dim": 5}) == (12, 5)
+    # an omitted matter_dim follows the default truncation rule
+    assert spectrum("dicke_default", "dicke", {"photon_cutoff": 8}) == (8, 4)
+    assert spectrum("bilinear_default", "bilinear", {"photon_cutoff": 8}) == (8, 9)
+
+
+_SWEEP_G = {"sweep": {"name": "g", "values": [0.1, 0.2]}}
+_CLASSICAL = {"model": "classical", "cavity": _cavity_block()}
+_CLASSICAL_SWEEP = dict(_CLASSICAL, sweep={"name": "n_dipoles", "values": [25, 100]})
+
+
+def _stems(*stems, kinds=("csv", "json", "svg")):
+    return {f"{stem}.{kind}" for stem in stems for kind in kinds}
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, files",
+    [
+        (["spectrum"], {}, 0, _stems("spectrum")),
+        (["spectrum"], _SWEEP_G, 0,
+         _stems("spectrum_000", "spectrum_001") | {"spectrum_summary.csv"}),
+        (["spectrum"], _CLASSICAL, 0, _stems("classical")),
+        (["witness"], {}, 0, {"witness.json", "witness_summary.csv"}),
+        (["witness"], _SWEEP_G, 0,
+         {"witness_000.json", "witness_001.json", "witness_summary.csv"}),
+        (["witness"], {"params": {"omega_b": 1.4}}, 1, {"witness.json"}),
+        (["classical"], _CLASSICAL, 0, _stems("classical")),
+        (["classical"], _CLASSICAL_SWEEP, 0,
+         _stems("classical_000", "classical_001") | {"classical_summary.csv"}),
+        (["dynamics", "rabi-flop"], {"grid": {"n_samples": 1024, "dt": 0.01}}, 0,
+         _stems("rabi_flop") | _stems("rabi_flop_spectrum", kinds=("csv", "svg"))),
+        (["dynamics", "semiclassical"], {"grid": {"n_samples": 1000, "dt": 0.01}}, 0,
+         _stems("semiclassical")),
+        (["dynamics", "vacuum-correlation"], {}, 0, _stems("vacuum_correlation")),
+        (["dynamics", "rabi-flop"], _SWEEP_G, 1, set()),
+        (["dynamics", "semiclassical"], _SWEEP_G, 1, set()),
+        (["dynamics", "vacuum-correlation"], _SWEEP_G, 1, set()),
+        (["verify"], {}, 0, {"verify_report.json"}),
+    ],
+)
+def test_output_file_sets(tmp_path, argv, config, code, files):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", config)
+    argv = [*argv, "--config", cfg, "--format", "csv,json,svg", "--out", str(out)]
+    assert main(argv) == code
+    assert {p.name for p in out.iterdir()} == files
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    code = (
+        "import sys, polariton.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.sparse'))))"
+    )
+    assert _run_cli(["-c", code]).stdout.strip() == "[]"
 
 
 def test_out_flag_overrides_config(tmp_path):

@@ -29,6 +29,8 @@ def test_time_grid_and_trajectory_validation():
         TimeGrid(1, 0.1)
     with pytest.raises(ConfigurationError):
         TimeGrid(16, 0.0)
+    with pytest.raises(ConfigurationError):
+        TimeGrid(16, math.inf)
     grid = TimeGrid(4, 0.5)
     # horizon is the last sample time, (n-1) dt
     assert grid.horizon == pytest.approx(1.5)

@@ -6,6 +6,7 @@ import pytest
 
 from polariton.errors import ConfigurationError, DomainError, NumericalError
 from polariton.model import (
+    BUILDERS,
     HermitianOperator,
     HilbertSpec,
     ModelParams,
@@ -14,6 +15,7 @@ from polariton.model import (
     build_bilinear_hamiltonian,
     build_dicke_hamiltonian,
     build_jc_rwa_hamiltonian,
+    default_spec,
     expectation,
     spin_ladder_matrices,
     total_excitation_operator,
@@ -29,6 +31,23 @@ def test_params_validation():
         ModelParams(omega_a=1.0, omega_b=1.0, g=-0.1, n_atoms=1)
     with pytest.raises(DomainError):
         ModelParams(omega_a=1.0, omega_b=1.0, g=0.1, n_atoms=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ModelParams(omega_a=1.0, omega_b=1.0, g=bad, n_atoms=1)
+        with pytest.raises(DomainError):
+            ModelParams(omega_a=bad, omega_b=1.0, g=0.1, n_atoms=1)
+
+
+def test_default_spec_truncation_rule():
+    p = ModelParams(1.0, 1.0, 0.1, n_atoms=3)
+    assert default_spec("bilinear", p, 12) == HilbertSpec(12, 13)
+    assert default_spec("dicke", p, 12) == HilbertSpec(12, 4)
+    assert default_spec("jc-rwa", p, 4) == HilbertSpec(4, 4)
+    with pytest.raises(ConfigurationError):
+        default_spec("tight-binding", p, 12)
+    # every registered builder accepts its default truncation
+    for name, build in BUILDERS.items():
+        assert build(p, default_spec(name, p, 3)).dim == default_spec(name, p, 3).dimension
 
 
 def test_collective_coupling_round_trip():
