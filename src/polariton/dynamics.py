@@ -244,10 +244,8 @@ def vacuum_correlation_spectrum(
         )
 
     n_bins = n // 2 + 1
-    intensities = np.zeros(n_bins)
     idx = np.rint(lines / d_omega).astype(int)
-    for i, w in zip(idx, weights):
-        if 0 <= i < n_bins:
-            intensities[i] += w
+    inside = (idx >= 0) & (idx < n_bins)
+    intensities = np.bincount(idx[inside], weights=weights[inside], minlength=n_bins)
     freqs = d_omega * np.arange(n_bins)
     return SpectrumSeries(frequencies=freqs, intensities=intensities)

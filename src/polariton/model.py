@@ -23,7 +23,6 @@ from .errors import ConfigurationError, DomainError, NumericalError
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
-DENSE_DROP_TOL = 0.0  # builders store exact nonzeros, nothing is thresholded
 
 
 @dataclass(frozen=True)
@@ -185,11 +184,6 @@ class HermitianOperator:
     def nnz(self) -> int:
         return int(self.values.size)
 
-    @property
-    def entries(self):
-        """Stored upper-triangle entries as (row, col, value) tuples."""
-        return list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
-
     def to_dense(self) -> np.ndarray:
         dtype = complex if np.iscomplexobj(self.values) else float
         out = np.zeros((self.dim, self.dim), dtype=dtype)
@@ -272,6 +266,29 @@ def spin_ladder_matrices(n_atoms: int):
     return jp, jp.T.copy(), jz
 
 
+def _spin_factors(params: ModelParams, spec: HilbertSpec):
+    """(J_plus, J_minus, J_z + j); the matter block must be the full j = N/2 ladder."""
+    if spec.matter_dim != params.n_atoms + 1:
+        raise ConfigurationError(
+            f"matter block needs matter_dim = n_atoms + 1 = "
+            f"{params.n_atoms + 1}, got {spec.matter_dim}"
+        )
+    jp, jm, jz = spin_ladder_matrices(params.n_atoms)
+    return jp, jm, jz + params.total_spin * np.eye(spec.matter_dim)
+
+
+def _kron_sum(terms) -> HermitianOperator:
+    """Upper triangle of sum(coef * kron(photon_factor, matter_factor)),
+    assembled sparse so that the dense product is never formed."""
+    from scipy import sparse
+
+    h = sum(coef * sparse.kron(ph, mat, format="csr") for coef, ph, mat in terms)
+    upper = sparse.triu(h, format="csr")
+    upper.eliminate_zeros()
+    upper = upper.tocoo()  # row-major, the order from_dense stores
+    return HermitianOperator(upper.shape[0], upper.row, upper.col, upper.data)
+
+
 def build_dicke_hamiltonian(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
     """Cavity mode coupled to the collective pseudo-spin, counter-rotating
     terms retained:
@@ -281,20 +298,11 @@ def build_dicke_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermitian
     The J_z + j shift puts the uncoupled vacuum at energy zero.  Requires
     matter_dim == n_atoms + 1 (the full maximal-j ladder).
     """
-    if spec.matter_dim != params.n_atoms + 1:
-        raise ConfigurationError(
-            f"Dicke matter block needs matter_dim = n_atoms + 1 = "
-            f"{params.n_atoms + 1}, got {spec.matter_dim}"
-        )
-    dp = spec.photon_dim
-    a = annihilation_matrix(dp)
-    n_ph = a.T @ a
-    jp, jm, jz = spin_ladder_matrices(params.n_atoms)
-    excitation = jz + params.total_spin * np.eye(spec.matter_dim)
-    h = params.omega_a * np.kron(n_ph, np.eye(spec.matter_dim))
-    h += params.omega_b * np.kron(np.eye(dp), excitation)
-    h += params.g * np.kron(a + a.T, jp + jm)
-    return HermitianOperator.from_dense(h)
+    jp, jm, excitation = _spin_factors(params, spec)
+    a = annihilation_matrix(spec.photon_dim)
+    return _kron_sum([(params.omega_a, a.T @ a, np.eye(spec.matter_dim)),
+                      (params.omega_b, np.eye(spec.photon_dim), excitation),
+                      (params.g, a + a.T, jp + jm)])
 
 
 def build_bilinear_hamiltonian(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
@@ -306,13 +314,11 @@ def build_bilinear_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermit
     Rejects parameters outside the normal-phase stability region.
     """
     params.require_bilinear_stable()
-    lam = params.collective_coupling
     a = annihilation_matrix(spec.photon_dim)
     b = annihilation_matrix(spec.matter_dim)
-    h = params.omega_a * np.kron(a.T @ a, np.eye(spec.matter_dim))
-    h += params.omega_b * np.kron(np.eye(spec.photon_dim), b.T @ b)
-    h += lam * np.kron(a + a.T, b + b.T)
-    return HermitianOperator.from_dense(h)
+    return _kron_sum([(params.omega_a, a.T @ a, np.eye(spec.matter_dim)),
+                      (params.omega_b, np.eye(spec.photon_dim), b.T @ b),
+                      (params.collective_coupling, a + a.T, b + b.T)])
 
 
 def build_jc_rwa_hamiltonian(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
@@ -322,19 +328,12 @@ def build_jc_rwa_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermitia
 
     Conserves the total excitation number a^dag a + J_z + j.
     """
-    if spec.matter_dim != params.n_atoms + 1:
-        raise ConfigurationError(
-            f"matter block needs matter_dim = n_atoms + 1 = "
-            f"{params.n_atoms + 1}, got {spec.matter_dim}"
-        )
-    dp = spec.photon_dim
-    a = annihilation_matrix(dp)
-    jp, jm, jz = spin_ladder_matrices(params.n_atoms)
-    excitation = jz + params.total_spin * np.eye(spec.matter_dim)
-    h = params.omega_a * np.kron(a.T @ a, np.eye(spec.matter_dim))
-    h += params.omega_b * np.kron(np.eye(dp), excitation)
-    h += params.g * (np.kron(a.T, jm) + np.kron(a, jp))
-    return HermitianOperator.from_dense(h)
+    jp, jm, excitation = _spin_factors(params, spec)
+    a = annihilation_matrix(spec.photon_dim)
+    return _kron_sum([(params.omega_a, a.T @ a, np.eye(spec.matter_dim)),
+                      (params.omega_b, np.eye(spec.photon_dim), excitation),
+                      (params.g, a.T, jm),
+                      (params.g, a, jp)])
 
 
 BUILDERS = {
@@ -358,17 +357,10 @@ def default_spec(model: str, params: ModelParams, photon_cutoff: int) -> Hilbert
 
 def total_excitation_operator(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
     """a^dag a + J_z + j, the quantity conserved by the rotating-wave model."""
-    if spec.matter_dim != params.n_atoms + 1:
-        raise ConfigurationError(
-            f"matter block needs matter_dim = n_atoms + 1 = "
-            f"{params.n_atoms + 1}, got {spec.matter_dim}"
-        )
+    _, _, excitation = _spin_factors(params, spec)
     a = annihilation_matrix(spec.photon_dim)
-    _, _, jz = spin_ladder_matrices(params.n_atoms)
-    excitation = jz + params.total_spin * np.eye(spec.matter_dim)
-    n = np.kron(a.T @ a, np.eye(spec.matter_dim))
-    n += np.kron(np.eye(spec.photon_dim), excitation)
-    return HermitianOperator.from_dense(n)
+    return _kron_sum([(1.0, a.T @ a, np.eye(spec.matter_dim)),
+                      (1.0, np.eye(spec.photon_dim), excitation)])
 
 
 def expectation(op: HermitianOperator, state: StateVector) -> float:
@@ -379,7 +371,7 @@ def expectation(op: HermitianOperator, state: StateVector) -> float:
             f"operator dimension {op.dim} != state dimension {state.dim}"
         )
     psi = state.amplitudes
-    value = complex(np.vdot(psi, op.to_dense() @ psi))
+    value = complex(np.vdot(psi, op.to_sparse() @ psi))
     if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
         raise NumericalError(
             f"expectation value has imaginary residue {value.imag:.3e}",

@@ -54,10 +54,9 @@ class NormalModes:
         return self.omega_plus - self.omega_minus
 
 
-def _validate_decomposition(h: HermitianOperator, values, vectors):
+def _validate_decomposition(h: HermitianOperator, matrix, values, vectors):
     scale = max(h.frobenius_norm(), 1e-300)
-    dense = h.to_dense()
-    resid = np.linalg.norm(dense @ vectors - vectors * values, axis=0)
+    resid = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
     worst = float(resid.max()) if resid.size else 0.0
     if not (worst <= RESIDUAL_TOL * scale):
         raise NumericalError(
@@ -103,7 +102,8 @@ def eigendecompose(
         )
 
     if method == "dense":
-        values, vectors = np.linalg.eigh(h.to_dense())
+        matrix = h.to_dense()
+        values, vectors = np.linalg.eigh(matrix)
         if k is not None:
             values = values[:k]
             vectors = vectors[:, :k]
@@ -116,9 +116,10 @@ def eigendecompose(
             )
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(h.dim)
+        matrix = h.to_sparse()
         try:
             values, vectors = eigsh(
-                h.to_sparse(), k=k, which="SA", v0=v0, maxiter=KRYLOV_MAXITER
+                matrix, k=k, which="SA", v0=v0, maxiter=KRYLOV_MAXITER
             )
         except ArpackNoConvergence as exc:
             got = np.asarray(exc.eigenvalues)
@@ -131,7 +132,7 @@ def eigendecompose(
         values = values[order]
         vectors = vectors[:, order]
 
-    _validate_decomposition(h, values, vectors)
+    _validate_decomposition(h, matrix, values, vectors)
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
@@ -140,8 +141,7 @@ def ground_state(
 ) -> tuple[float, StateVector]:
     """Lowest eigenpair.  The global phase is fixed by making the largest
     amplitude real and positive, so repeated runs agree bit for bit."""
-    k = 1 if h.dim > DENSE_DIM_LIMIT else None
-    dec = eigendecompose(h, k=k, seed=seed)
+    dec = eigendecompose(h, k=1, seed=seed)
     energy = float(dec.eigenvalues[0])
     vec = dec.eigenvectors[:, 0].astype(complex)
     pivot = int(np.argmax(np.abs(vec)))

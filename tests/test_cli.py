@@ -281,6 +281,7 @@ def _stems(*stems, kinds=("csv", "json", "svg")):
         (["dynamics", "semiclassical"], _SWEEP_G, 1, set()),
         (["dynamics", "vacuum-correlation"], _SWEEP_G, 1, set()),
         (["verify"], {}, 0, {"verify_report.json"}),
+        (["witness"], {"params": {"g": 0.49}}, 2, set()),
     ],
 )
 def test_output_file_sets(tmp_path, argv, config, code, files):
@@ -289,6 +290,35 @@ def test_output_file_sets(tmp_path, argv, config, code, files):
     argv = [*argv, "--config", cfg, "--format", "csv,json,svg", "--out", str(out)]
     assert main(argv) == code
     assert {p.name for p in out.iterdir()} == files
+
+
+def test_unresolved_slope_is_written_as_null_with_a_reason(tmp_path, monkeypatch):
+    from polariton import cli
+
+    real = cli.splitting_vs_n
+    monkeypatch.setattr(
+        cli, "splitting_vs_n", lambda *a, **kw: [None, *real(*a, **kw)[1:]]
+    )
+    assert main(["verify", "--out", str(tmp_path)]) == 3
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (tmp_path / "verify_report.json").read_text()
+    report = json.loads(text, parse_constant=refuse)
+    fit = next(c for c in report["checks"] if c["name"] == "sqrt_n_fit")
+    assert fit["measured"]["classical_slope"] is None
+    assert "n_dipoles [4]" in fit["measured"]["classical_slope_reason"]
+    assert fit["passed"] is False and report["all_passed"] is False
+
+
+def test_non_finite_json_exits_two(tmp_path, monkeypatch, capsys):
+    from polariton import cli
+
+    monkeypatch.setattr(cli, "linear_entropy_predicted", lambda params: math.nan)
+    assert main(["witness", "--out", str(tmp_path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "witness.json").exists()
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polariton.errors import ConfigurationError, DomainError, NumericalError
 from polariton.model import (
@@ -168,6 +169,57 @@ def test_hermitian_storage_round_trip():
     assert np.allclose(op.to_dense(), dense, atol=1e-14)
     assert np.allclose(op.to_sparse().toarray(), dense, atol=1e-14)
     assert op.frobenius_norm() == pytest.approx(np.linalg.norm(dense), rel=1e-13)
+
+
+def _dense_reference(model, p, spec):
+    """The Hamiltonian (or, for "excitation", a^dag a + J_z + j) as a dense
+    sum of np.kron products."""
+    a = annihilation_matrix(spec.photon_dim)
+    eye_p, eye_m = np.eye(spec.photon_dim), np.eye(spec.matter_dim)
+    if model == "bilinear":
+        b = annihilation_matrix(spec.matter_dim)
+        h = p.omega_a * np.kron(a.T @ a, eye_m)
+        h += p.omega_b * np.kron(eye_p, b.T @ b)
+        h += p.collective_coupling * np.kron(a + a.T, b + b.T)
+        return h
+    jp, jm, jz = spin_ladder_matrices(p.n_atoms)
+    excitation = jz + p.total_spin * eye_m
+    if model == "excitation":
+        return np.kron(a.T @ a, eye_m) + np.kron(eye_p, excitation)
+    h = p.omega_a * np.kron(a.T @ a, eye_m)
+    h += p.omega_b * np.kron(eye_p, excitation)
+    if model == "dicke":
+        h += p.g * np.kron(a + a.T, jp + jm)
+    else:
+        h += p.g * (np.kron(a.T, jm) + np.kron(a, jp))
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(["bilinear", "dicke", "jc-rwa", "excitation"]),
+    omega_a=st.floats(0.1, 3.0),
+    omega_b=st.floats(0.1, 3.0),
+    coupling=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    n_atoms=st.integers(1, 8),
+    photon_cutoff=st.integers(1, 10),
+    bilinear_matter_dim=st.integers(2, 9),
+)
+def test_builders_match_dense_kron_reference(
+    model, omega_a, omega_b, coupling, n_atoms, photon_cutoff, bilinear_matter_dim
+):
+    # coupling is the fraction of the bilinear stability edge 4 lambda^2 = wa wb
+    g = coupling * math.sqrt(omega_a * omega_b) / (2.0 * math.sqrt(n_atoms))
+    p = ModelParams(omega_a=omega_a, omega_b=omega_b, g=g, n_atoms=n_atoms)
+    matter_dim = bilinear_matter_dim if model == "bilinear" else n_atoms + 1
+    spec = HilbertSpec(photon_cutoff=photon_cutoff, matter_dim=matter_dim)
+    build = total_excitation_operator if model == "excitation" else BUILDERS[model]
+    op = build(p, spec)
+    ref = HermitianOperator.from_dense(_dense_reference(model, p, spec))
+    assert op.dim == ref.dim == spec.dimension
+    for got, want in ((op.rows, ref.rows), (op.cols, ref.cols), (op.values, ref.values)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_from_dense_rejects_non_hermitian():

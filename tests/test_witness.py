@@ -6,13 +6,14 @@ import pytest
 
 from polariton.errors import ConfigurationError, DomainError
 from polariton.model import (
+    HermitianOperator,
     HilbertSpec,
     ModelParams,
     StateVector,
     build_bilinear_hamiltonian,
     expectation,
 )
-from polariton.spectral import ground_state
+from polariton.spectral import DENSE_DIM_LIMIT, ground_state
 from polariton.witness import (
     DensityMatrix,
     GaussianState,
@@ -161,3 +162,19 @@ def test_thermal_occupation_values():
         thermal_occupation(-1.0, 1.0)
     with pytest.raises(DomainError):
         thermal_occupation(1.0, -0.5)
+
+
+def test_krylov_witness_never_densifies(monkeypatch):
+    spec = HilbertSpec(63, 65)
+    assert spec.dimension == 4160 > DENSE_DIM_LIMIT
+    h = build_bilinear_hamiltonian(PARAMS, spec)
+
+    def refuse(self):
+        raise AssertionError("to_dense called on the Krylov path")
+
+    monkeypatch.setattr(HermitianOperator, "to_dense", refuse)
+    energy, state = ground_state(h, seed=1234)
+    verdict = witness_evaluate(h, state, PARAMS)
+    assert energy == pytest.approx(-0.021093687069296707, abs=1e-11)
+    assert verdict.value == pytest.approx(energy, abs=1e-12)
+    assert verdict.verdict == "entangled"

@@ -1,0 +1,109 @@
+"""Run a fixed list of CLI cases against a checkout and record every output.
+
+    python tools/golden_outputs.py <checkout> <out_dir>
+
+Each case runs ``python -m polariton.cli`` from ``<checkout>/src`` as a
+subprocess with ``OPENBLAS_NUM_THREADS=1``, inside its own directory
+``<out_dir>/<case>``.  That directory then holds the case's config, its
+result files under ``out/``, and ``exit_code.txt``, ``stdout.txt`` and
+``stderr.txt``.  All paths handed to the CLI are relative, so running the
+tool on two checkouts and comparing with ``diff -r`` shows whether a change
+kept every result file, exit code and message byte-identical.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ALL_FORMATS = ("--format", "csv,json,svg")
+
+# polariton.cli.reference_cavity() at its defaults, frozen so that the inputs
+# do not move with the checkout under test.
+REFERENCE_CAVITY = {
+    "length": 3.9242740985601107e-07,
+    "reflectivity": 0.994777719933957,
+    "background_index": 1.0,
+    "area": 1e-12,
+    "n_dipoles": 100,
+    "dipole_moment": 9.377730192075738e-27,
+    "omega_b": 2.4e15,
+    "gamma": 6.0e12,
+}
+
+# (case name, CLI arguments, config)
+CASES = [
+    ("spectrum-bilinear", ["spectrum"], {"model": "bilinear"}),
+    ("spectrum-dicke-n-sweep", ["spectrum", *ALL_FORMATS], {
+        "model": "dicke",
+        "params": {"g": 0.02, "n_atoms": 100},
+        "sweep": {"name": "n_atoms", "values": [100, 150, 200]},
+    }),
+    ("spectrum-jc-rwa", ["spectrum"], {"model": "jc-rwa", "params": {"g": 0.1, "n_atoms": 3}}),
+    ("spectrum-dicke-partial-hilbert", ["spectrum"], {
+        "model": "dicke",
+        "params": {"g": 0.1, "n_atoms": 3},
+        "hilbert": {"photon_cutoff": 8},
+    }),
+    ("witness-all-formats", ["witness", *ALL_FORMATS], {}),
+    ("witness-g-sweep", ["witness"], {
+        "sweep": {"name": "g", "values": [0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49]},
+    }),
+    ("witness-krylov-g-sweep", ["witness"], {
+        "model": "bilinear",
+        "hilbert": {"photon_cutoff": 63, "matter_dim": 65},
+        "sweep": {"name": "g", "values": [0.1, 0.2, 0.3, 0.4]},
+    }),
+    ("witness-detuned", ["witness"], {"params": {"omega_b": 1.4}}),
+    *(
+        (f"rabi-flop-{model}", ["dynamics", "rabi-flop", *ALL_FORMATS], {"model": model})
+        for model in ("bilinear", "dicke", "jc-rwa")
+    ),
+    ("semiclassical", ["dynamics", "semiclassical", *ALL_FORMATS], {"initial": {"a_re": 0.1}}),
+    ("vacuum-correlation", ["dynamics", "vacuum-correlation", *ALL_FORMATS], {}),
+    ("classical-n-sweep", ["classical", *ALL_FORMATS], {
+        "model": "classical",
+        "cavity": REFERENCE_CAVITY,
+        "sweep": {"name": "n_dipoles", "values": [25, 100, 400]},
+    }),
+    ("verify", ["verify"], {}),
+]
+
+
+def run_case(src: Path, case_dir: Path, argv, config) -> int:
+    case_dir.mkdir(parents=True)
+    (case_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "polariton.cli", *argv, "--config", "config.json", "--out", "out"],
+        cwd=case_dir, env=env, capture_output=True, text=True,
+    )
+    (case_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
+    (case_dir / "stdout.txt").write_text(proc.stdout)
+    (case_dir / "stderr.txt").write_text(proc.stderr)
+    return proc.returncode
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 1
+    src = Path(args[0]).resolve() / "src"
+    out_dir = Path(args[1])
+    if not (src / "polariton").is_dir():
+        print(f"no polariton package under {src}", file=sys.stderr)
+        return 1
+    if out_dir.exists():
+        print(f"{out_dir} exists; pass a new directory", file=sys.stderr)
+        return 1
+    for name, case_argv, config in CASES:
+        code = run_case(src, out_dir / name, case_argv, config)
+        print(f"{name}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
