@@ -277,6 +277,18 @@ def predicted_splitting(cavity: CavityParams) -> float:
     )
 
 
+def default_grid(cavity: CavityParams, n_points: int) -> np.ndarray:
+    """Probe frequencies centred on the dipole resonance, spanning three
+    predicted splittings, 60 linewidths or 20 cavity linewidths, whichever
+    is widest."""
+    span = max(
+        3.0 * predicted_splitting(cavity),
+        60.0 * cavity.gamma,
+        20.0 * cavity.free_spectral_range / cavity.finesse,
+    )
+    return np.linspace(cavity.omega_b - span, cavity.omega_b + span, int(n_points))
+
+
 def matched_coupling(cavity: CavityParams, omega_a: float | None = None) -> float:
     """Collective coupling lambda of the quantum model that corresponds to
     this cavity: (d/2) sqrt(N wb / (hbar eps0 A L_c wa)) * sqrt(wa).
@@ -348,9 +360,6 @@ def splitting_vs_n(cavity: CavityParams, n_values, *, n_grid: int = 24001):
     out = []
     for n in n_values:
         cav = replace(cavity, n_dipoles=int(n))
-        pred = predicted_splitting(cav)
-        span = max(3.0 * pred, 60.0 * cav.gamma, 20.0 * cav.free_spectral_range / cav.finesse)
-        omegas = np.linspace(cav.omega_b - span, cav.omega_b + span, int(n_grid))
-        report = peak_splitting(transmission_spectrum(cav, omegas))
+        report = peak_splitting(transmission_spectrum(cav, default_grid(cav, n_grid)))
         out.append(report.splitting if report.flag == "split" else None)
     return out

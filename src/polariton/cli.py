@@ -26,8 +26,8 @@ from . import svg
 from .classical import (
     CavityParams,
     classical_quantum_agreement,
+    default_grid,
     matched_coupling,
-    matched_model_params,
     peak_splitting,
     predicted_splitting,
     splitting_vs_n,
@@ -153,8 +153,24 @@ class RunConfig:
     verify_tolerances: dict
 
 
-def _take(block: dict, key, default=None):
-    return block[key] if key in block else default
+# the keys each config block may hold; None marks a top-level scalar
+_BLOCK_KEYS = {
+    "model": None,
+    "seed": None,
+    "params": {"omega_a", "omega_b", "g", "n_atoms"},
+    "hilbert": {"photon_cutoff", "matter_dim"},
+    "cavity": {
+        "length", "reflectivity", "background_index", "area", "n_dipoles",
+        "dipole_moment", "omega_b", "gamma",
+    },
+    "grid": {"n_samples", "dt"},
+    "freq_grid": {"min", "max", "n"},
+    "spectrum": {"n_eigenvalues"},
+    "initial": {"a_re", "a_im", "b_re", "b_im"},
+    "sweep": {"name", "values"},
+    "output": {"dir", "formats"},
+    "verify": {"tolerances"},
+}
 
 
 def _load_config(args) -> RunConfig:
@@ -177,13 +193,17 @@ def _parse_config(args) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigurationError("config root must be a JSON object")
 
-    known = {
-        "model", "params", "hilbert", "cavity", "grid", "freq_grid",
-        "spectrum", "initial", "seed", "sweep", "output", "verify",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_BLOCK_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    for name, allowed in _BLOCK_KEYS.items():
+        if allowed is None or name not in raw:
+            continue
+        if not isinstance(raw[name], dict):
+            raise ConfigurationError(f"config block '{name}' must be a JSON object")
+        unknown = set(raw[name]) - allowed
+        if unknown:
+            raise ConfigurationError(f"unknown keys in config block '{name}': {sorted(unknown)}")
 
     model = raw.get("model", "bilinear")
     if model not in QUANTUM_MODELS + ("classical", "semiclassical"):
@@ -191,10 +211,10 @@ def _parse_config(args) -> RunConfig:
 
     pblock = raw.get("params", {})
     params = ModelParams(
-        omega_a=float(_take(pblock, "omega_a", 1.0)),
-        omega_b=float(_take(pblock, "omega_b", 1.0)),
-        g=float(_take(pblock, "g", 0.2)),
-        n_atoms=int(_take(pblock, "n_atoms", 1)),
+        omega_a=float(pblock.get("omega_a", 1.0)),
+        omega_b=float(pblock.get("omega_b", 1.0)),
+        g=float(pblock.get("g", 0.2)),
+        n_atoms=int(pblock.get("n_atoms", 1)),
     )
 
     hblock = raw.get("hilbert", {})
@@ -202,12 +222,8 @@ def _parse_config(args) -> RunConfig:
 
     cavity = None
     if "cavity" in raw:
-        cblock = dict(raw["cavity"])
-        needed = {
-            "length", "reflectivity", "area", "n_dipoles", "dipole_moment",
-            "omega_b", "gamma",
-        }
-        missing = needed - set(cblock)
+        cblock = raw["cavity"]
+        missing = _BLOCK_KEYS["cavity"] - {"background_index"} - set(cblock)
         if missing:
             raise ConfigurationError(f"cavity block missing keys: {sorted(missing)}")
         cavity = CavityParams(
@@ -225,8 +241,8 @@ def _parse_config(args) -> RunConfig:
     if "grid" in raw:
         gblock = raw["grid"]
         grid = TimeGrid(
-            n_samples=int(_take(gblock, "n_samples", 8192)),
-            dt=float(_take(gblock, "dt", 0.02)),
+            n_samples=int(gblock.get("n_samples", 8192)),
+            dt=float(gblock.get("dt", 0.02)),
         )
 
     freq_grid = None
@@ -240,13 +256,13 @@ def _parse_config(args) -> RunConfig:
         if not (finite and freq_grid[0] < freq_grid[1]) or freq_grid[2] < 2:
             raise ConfigurationError("freq_grid needs finite min < max and n >= 2")
 
-    n_eigenvalues = int(_take(raw.get("spectrum", {}), "n_eigenvalues", 10))
+    n_eigenvalues = int(raw.get("spectrum", {}).get("n_eigenvalues", 10))
     if n_eigenvalues < 1:
         raise ConfigurationError("spectrum.n_eigenvalues must be >= 1")
 
     iblock = raw.get("initial", {})
-    initial_a = complex(float(_take(iblock, "a_re", 0.0)), float(_take(iblock, "a_im", 0.0)))
-    initial_b = complex(float(_take(iblock, "b_re", 0.0)), float(_take(iblock, "b_im", 0.0)))
+    initial_a = complex(float(iblock.get("a_re", 0.0)), float(iblock.get("a_im", 0.0)))
+    initial_b = complex(float(iblock.get("b_re", 0.0)), float(iblock.get("b_im", 0.0)))
     if not (cmath.isfinite(initial_a) and cmath.isfinite(initial_b)):
         raise ConfigurationError("initial amplitudes must be finite")
 
@@ -271,10 +287,10 @@ def _parse_config(args) -> RunConfig:
         sweep = (name.strip(), tuple(float(v) for v in parts))
 
     oblock = raw.get("output", {})
-    out_dir = Path(_take(oblock, "dir", "."))
+    out_dir = Path(oblock.get("dir", "."))
     if getattr(args, "out", None):
         out_dir = Path(args.out)
-    formats = tuple(_take(oblock, "formats", ["csv", "json"]))
+    formats = tuple(oblock.get("formats", ["csv", "json"]))
     if getattr(args, "format", None):
         formats = tuple(f for f in args.format.split(",") if f)
     bad = set(formats) - set(ALL_FORMATS)
@@ -286,6 +302,8 @@ def _parse_config(args) -> RunConfig:
     tolerances = dict(VERIFY_TOLERANCES)
     vblock = raw.get("verify", {})
     overrides = vblock.get("tolerances", {})
+    if not isinstance(overrides, dict):
+        raise ConfigurationError("verify.tolerances must be a JSON object")
     bad = set(overrides) - set(tolerances)
     if bad:
         raise ConfigurationError(f"unknown verify tolerances: {sorted(bad)}")
@@ -384,8 +402,8 @@ def _spectrum_point(cfg, params) -> Result:
     spec = _hilbert(cfg, cfg.model, params, 12)
     h = BUILDERS[cfg.model](params, spec)
     k = min(cfg.n_eigenvalues, h.dim)
-    dec = eigendecompose(h, seed=cfg.seed)
-    values = [float(v) for v in dec.eigenvalues[:k]]
+    dec = eigendecompose(h, k, seed=cfg.seed)
+    values = [float(v) for v in dec.eigenvalues]
     payload = {
         "model": cfg.model,
         "omega_a": params.omega_a,
@@ -594,13 +612,7 @@ def _classical_point(cfg, cavity) -> Result:
         lo, hi, n = cfg.freq_grid
         omegas = np.linspace(lo, hi, n)
     else:
-        pred = predicted_splitting(cavity)
-        span = max(
-            3.0 * pred,
-            60.0 * cavity.gamma,
-            20.0 * cavity.free_spectral_range / cavity.finesse,
-        )
-        omegas = np.linspace(cavity.omega_b - span, cavity.omega_b + span, 4001)
+        omegas = default_grid(cavity, 4001)
     spectrum = transmission_spectrum(cavity, omegas)
     report = peak_splitting(spectrum)
     payload = {
@@ -615,9 +627,13 @@ def _classical_point(cfg, cavity) -> Result:
         agreement = classical_quantum_agreement(cavity)
         payload["quantum_splitting"] = agreement.quantum_splitting
         payload["relative_deviation"] = agreement.relative_deviation
-    except (ConfigurationError, DomainError):
-        payload["quantum_splitting"] = None
-        payload["relative_deviation"] = None
+        if agreement.relative_deviation is None:
+            payload["relative_deviation_reason"] = (
+                f"transmission at the matched coupling shows {agreement.flag}"
+            )
+    except (ConfigurationError, DomainError) as exc:
+        for key in ("quantum_splitting", "relative_deviation"):
+            payload[key], payload[f"{key}_reason"] = None, str(exc)
     curve = (spectrum.frequencies, spectrum.intensities)
     return Result(
         payload,
@@ -880,6 +896,9 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory ({exc})", file=sys.stderr)
         return 2
 
 

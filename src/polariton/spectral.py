@@ -81,17 +81,18 @@ def eigendecompose(
     """Lowest part of the spectrum of a Hermitian operator.
 
     k = None requests the full decomposition (dense path).  With k given the
-    dense path is still used up to DENSE_DIM_LIMIT and a Krylov iteration
-    (ARPACK Lanczos, start vector fixed by the seed) above it; method can
-    force "dense" or "krylov" explicitly.  Residual and orthonormality
-    contracts are checked before returning.
+    dense path is still used up to DENSE_DIM_LIMIT or when k >= dim - 1
+    (which Krylov cannot serve), and a Krylov iteration (ARPACK Lanczos,
+    start vector fixed by the seed) otherwise; method can force "dense" or
+    "krylov" explicitly.  Residual and orthonormality contracts are checked
+    for the returned pairs.
     """
     if k is not None and not (1 <= k <= h.dim):
         raise ConfigurationError(f"k = {k} outside 1..{h.dim}")
     if method not in ("auto", "dense", "krylov"):
         raise ConfigurationError(f"unknown method '{method}'")
     if method == "auto":
-        if k is None or h.dim <= DENSE_DIM_LIMIT:
+        if k is None or h.dim <= DENSE_DIM_LIMIT or k >= h.dim - 1:
             method = "dense"
         else:
             method = "krylov"

@@ -77,6 +77,22 @@ def test_spectrum_sweep_summary(tmp_path):
     assert (out / "spectrum_002.csv").exists()
 
 
+def test_spectrum_asks_only_for_the_written_pairs(tmp_path, monkeypatch):
+    from polariton import cli
+
+    asked = []
+    real = cli.eigendecompose
+
+    def spy(h, k=None, **kwargs):
+        asked.append(k)
+        return real(h, k, **kwargs)
+
+    monkeypatch.setattr(cli, "eigendecompose", spy)
+    assert main(["spectrum", "--out", str(tmp_path)]) == 0
+    assert asked == [10]
+    assert len(json.loads((tmp_path / "spectrum.json").read_text())["eigenvalues"]) == 10
+
+
 def test_witness_verdicts_and_keys(tmp_path):
     cfg = _write_config(
         tmp_path / "cfg.json",
@@ -221,6 +237,19 @@ def test_configuration_errors_exit_one(tmp_path):
     bad_value = _write_config(tmp_path / "v.json", {"sweep": {"name": "g", "values": ["abc"]}})
     assert main(["spectrum", "--config", bad_value, "--out", str(tmp_path / "v")]) == 1
     assert main(["spectrum", "--sweep", "g=abc", "--out", str(tmp_path / "v")]) == 1
+    # a block that is not an object, or holds a key nothing reads, is refused
+    for i, config in enumerate([
+        {"params": {"omega_A": 1.3}},
+        {"params": [0.3]},
+        {"grid": {"n_sample": 100}},
+        {"verify": {"tolerances": ["hp_exactness"]}},
+    ]):
+        path = _write_config(tmp_path / f"block{i}.json", config)
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path / "b")]) == 1
+    assert not (tmp_path / "b").exists()
+    # a truncation too large to allocate is a numerical failure, not a traceback
+    huge = _write_config(tmp_path / "huge.json", {"hilbert": {"photon_cutoff": 1e9}})
+    assert main(["spectrum", "--config", huge, "--out", str(tmp_path / "h")]) == 2
 
 
 def test_hilbert_block_is_used_as_given(tmp_path):
@@ -290,6 +319,31 @@ def test_output_file_sets(tmp_path, argv, config, code, files):
     argv = [*argv, "--config", cfg, "--format", "csv,json,svg", "--out", str(out)]
     assert main(argv) == code
     assert {p.name for p in out.iterdir()} == files
+
+
+def test_classical_nulls_carry_reasons(tmp_path):
+    # no dipoles: no matched quantum model; one damped dipole: no splitting
+    cavity = dict(_cavity_block(), gamma=5e13)
+    omega_b = cavity["omega_b"]
+    config = {
+        "cavity": cavity,
+        "freq_grid": {"min": 0.7 * omega_b, "max": 1.3 * omega_b, "n": 4001},
+        "sweep": {"name": "n_dipoles", "values": [0, 1, 100]},
+    }
+    cfg = _write_config(tmp_path / "cfg.json", config)
+    assert main(["classical", "--config", cfg, "--format", "json", "--out", str(tmp_path)]) == 0
+    empty, damped, full = (
+        json.loads((tmp_path / f"classical_00{i}.json").read_text()) for i in range(3)
+    )
+    for key in ("quantum_splitting", "relative_deviation"):
+        assert empty[key] is None
+        assert "dipole" in empty[f"{key}_reason"]
+        assert full[key] is not None
+        assert f"{key}_reason" not in full
+    assert damped["quantum_splitting"] is not None
+    assert "quantum_splitting_reason" not in damped
+    assert damped["relative_deviation"] is None
+    assert "no-splitting" in damped["relative_deviation_reason"]
 
 
 def test_unresolved_slope_is_written_as_null_with_a_reason(tmp_path, monkeypatch):

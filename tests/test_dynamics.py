@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from polariton.dynamics import (
     evolve,
@@ -11,7 +13,7 @@ from polariton.dynamics import (
     semiclassical_trajectory,
     vacuum_correlation_spectrum,
 )
-from polariton.errors import ConfigurationError
+from polariton.errors import ConfigurationError, NumericalError
 from polariton.model import (
     HilbertSpec,
     ModelParams,
@@ -138,9 +140,72 @@ def test_mean_field_conserves_energy():
     assert float(np.max(np.abs(energy - energy[0]))) < 1e-8
 
 
-def test_mean_field_step_bound_is_enforced():
+def test_mean_field_is_exact_on_a_coarse_grid():
+    # exact at any dt the sampling rule accepts, with no step-size error
+    traj = semiclassical_trajectory(PARAMS, 0.1, 0.0, TimeGrid(100, 0.05))
+    modes = normal_modes(PARAMS)
+    t = traj.times
+    expected = 0.05 * (np.cos(modes.omega_plus * t) + np.cos(modes.omega_minus * t))
+    assert np.max(np.abs(traj.channels["a"].real - expected)) <= 1e-12
+    energy = traj.channels["energy"]
+    assert np.max(np.abs(energy - energy[0])) <= 1e-15
+    # the sampling rule of the quantum paths: dt * omega_plus ~ 0.59 >= 0.5
     with pytest.raises(ConfigurationError):
-        semiclassical_trajectory(PARAMS, 0.1, 0.0, TimeGrid(100, 0.05))
+        semiclassical_trajectory(PARAMS, 0.1, 0.0, TimeGrid(100, 0.5))
+
+
+def _mean_field_generator(wa, wb, lam):
+    """dx/dt = G x for x = (Re a, Im a, Re b, Im b), written out from
+    i da/dt = wa a + 2 lam Re b and i db/dt = wb b + 2 lam Re a."""
+    return np.array(
+        [
+            [0.0, wa, 0.0, 0.0],
+            [-wa, 0.0, -2.0 * lam, 0.0],
+            [0.0, 0.0, 0.0, wb],
+            [-2.0 * lam, 0.0, -wb, 0.0],
+        ]
+    )
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    wa=st.floats(0.2, 5.0),
+    wb=st.floats(0.2, 5.0),
+    # fraction of the stability edge 4 lambda^2 = wa wb, stable and unstable
+    edge=st.floats(0.0, 1.5).filter(lambda f: abs(f - 1.0) > 1e-3),
+    x0=st.tuples(_unit, _unit, _unit, _unit),
+    step=st.floats(0.01, 0.99),
+    n=st.integers(2, 300),
+)
+def test_mean_field_matches_matrix_exponential(wa, wb, edge, x0, step, n):
+    lam = edge * math.sqrt(wa * wb) / 2.0
+    params = ModelParams.from_collective(wa, wb, lam)
+    # max(wa, wb) + 2 lam bounds the spectral radius, so the grid is accepted
+    grid = TimeGrid(n, step * 0.5 / (max(wa, wb) + 2.0 * lam))
+    traj = semiclassical_trajectory(params, complex(*x0[:2]), complex(*x0[2:]), grid)
+    a, b = traj.channels["a"], traj.channels["b"]
+    generator = _mean_field_generator(wa, wb, lam)
+    for i in (0, n // 2, n - 1):
+        want = scipy.linalg.expm(generator * traj.times[i]) @ np.array(x0)
+        got = np.array([a[i].real, a[i].imag, b[i].real, b[i].imag])
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_mean_field_refuses_energy_drift(monkeypatch):
+    from polariton import dynamics
+
+    real = dynamics._superpose
+    for fault in (lambda t: 1.0 + 1e-6 * t, lambda t: np.full_like(t, np.nan)):
+        monkeypatch.setattr(
+            dynamics, "_superpose",
+            lambda rates, modes, coeffs, times: real(rates, modes, coeffs, times)
+            * fault(times)[:, None],
+        )
+        with pytest.raises(NumericalError):
+            semiclassical_trajectory(PARAMS, 0.1, 0.0, TimeGrid(100, 0.05))
 
 
 def test_vacuum_correlation_shows_both_polaritons():

@@ -86,6 +86,23 @@ def test_krylov_needs_room():
         eigendecompose(h, k=4, seed=1234, method="krylov")
 
 
+def test_auto_method_serves_every_k(monkeypatch):
+    from polariton import spectral
+
+    monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 8)
+    p = ModelParams.from_collective(1.0, 1.0, 0.2)
+    h = build_bilinear_hamiltonian(p, HilbertSpec(3, 4))  # dim 16 > 8
+    full = eigendecompose(h, seed=1234)
+    # k >= dim - 1 is beyond Krylov, so the dense path answers
+    for k in (15, 16):
+        dec = eigendecompose(h, k=k, seed=1234)
+        assert dec.count == k
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues[:k])
+    krylov = eigendecompose(h, k=3, seed=1234)
+    assert krylov.count == 3
+    assert np.allclose(krylov.eigenvalues, full.eigenvalues[:3], atol=1e-9)
+
+
 def test_ground_state_phase_is_deterministic():
     p = ModelParams.from_collective(1.0, 1.0, 0.2)
     h = build_bilinear_hamiltonian(p, HilbertSpec(8, 9))
