@@ -244,15 +244,9 @@ def _refine(freqs, vals, i):
     return float(xv), float(a * xv * xv + b * xv + cc)
 
 
-def peak_splitting(
-    spectrum: SpectrumSeries, *, prominence_floor: float = PROMINENCE_FLOOR
-) -> PeakReport:
+def peak_splitting(spectrum: SpectrumSeries) -> PeakReport:
     """Strict local maxima above the prominence floor, refined to sub-bin
     accuracy by parabolic interpolation."""
-    if not (0.0 < prominence_floor < 1.0):
-        raise ConfigurationError(
-            f"prominence_floor must lie in (0, 1), got {prominence_floor}"
-        )
     vals = spectrum.intensities
     freqs = spectrum.frequencies
     if vals.size < 3:
@@ -260,7 +254,7 @@ def peak_splitting(
     top = float(vals.max())
     if top <= 0.0:
         return PeakReport((), (), None, "no-splitting")
-    peaks = [_refine(freqs, vals, i) for i in _peak_indices(vals, prominence_floor * top)]
+    peaks = [_refine(freqs, vals, i) for i in _peak_indices(vals, PROMINENCE_FLOOR * top)]
     frequencies = tuple(p[0] for p in peaks)
     heights = tuple(p[1] for p in peaks)
     if len(peaks) == 2:
@@ -277,6 +271,14 @@ def predicted_splitting(cavity: CavityParams) -> float:
     )
 
 
+def _probe_grid(omega_b: float, span: float, n_points: int) -> np.ndarray:
+    """n_points probe frequencies from omega_b - span to omega_b + span; the
+    lower end is kept at least (omega_b + span) / n_points, about one grid
+    step above zero, so a wide span still gives positive frequencies."""
+    hi = omega_b + span
+    return np.linspace(max(omega_b - span, hi / n_points), hi, n_points)
+
+
 def default_grid(cavity: CavityParams, n_points: int) -> np.ndarray:
     """Probe frequencies centred on the dipole resonance, spanning three
     predicted splittings, 60 linewidths or 20 cavity linewidths, whichever
@@ -286,7 +288,7 @@ def default_grid(cavity: CavityParams, n_points: int) -> np.ndarray:
         60.0 * cavity.gamma,
         20.0 * cavity.free_spectral_range / cavity.finesse,
     )
-    return np.linspace(cavity.omega_b - span, cavity.omega_b + span, int(n_points))
+    return _probe_grid(cavity.omega_b, span, int(n_points))
 
 
 def matched_coupling(cavity: CavityParams, omega_a: float | None = None) -> float:
@@ -321,31 +323,14 @@ def matched_model_params(cavity: CavityParams) -> ModelParams:
     )
 
 
-def classical_quantum_agreement(
-    cavity: CavityParams,
-    params: ModelParams | None = None,
-    *,
-    n_grid: int = 4001,
-    span: float | None = None,
-) -> AgreementReport:
+def classical_quantum_agreement(cavity: CavityParams) -> AgreementReport:
     """Relative deviation between the measured transmission splitting and
-    the quantum normal-mode separation at matched coupling.
+    the quantum normal-mode separation of the matched model.
 
-    params defaults to the matched model; a supplied one must carry the
-    matched collective coupling.  An unresolved spectrum is reported as
-    "no-splitting", not raised."""
-    if params is None:
-        params = matched_model_params(cavity)
-    lam = matched_coupling(cavity)
-    if abs(params.collective_coupling - lam) > 1e-9 * max(lam, 1e-300):
-        raise ConfigurationError(
-            f"params carry lambda = {params.collective_coupling:.12g} but the "
-            f"cavity corresponds to {lam:.12g}; couplings must be matched"
-        )
-    quantum = normal_modes(params).splitting
-    if span is None:
-        span = max(2.0 * quantum, 40.0 * cavity.gamma, 1e-3 * cavity.omega_b)
-    omegas = np.linspace(cavity.omega_b - span, cavity.omega_b + span, int(n_grid))
+    An unresolved spectrum is reported as "no-splitting", not raised."""
+    quantum = normal_modes(matched_model_params(cavity)).splitting
+    span = max(2.0 * quantum, 40.0 * cavity.gamma, 1e-3 * cavity.omega_b)
+    omegas = _probe_grid(cavity.omega_b, span, 4001)
     report = peak_splitting(transmission_spectrum(cavity, omegas))
     if report.flag != "split":
         return AgreementReport(None, quantum, None, report.flag)
@@ -353,13 +338,13 @@ def classical_quantum_agreement(
     return AgreementReport(report.splitting, quantum, deviation, "split")
 
 
-def splitting_vs_n(cavity: CavityParams, n_values, *, n_grid: int = 24001):
+def splitting_vs_n(cavity: CavityParams, n_values):
     """Measured transmission splitting for a sweep of dipole numbers, all
     other cavity parameters held fixed.  Points whose spectrum does not
     show two peaks are reported as None."""
     out = []
     for n in n_values:
         cav = replace(cavity, n_dipoles=int(n))
-        report = peak_splitting(transmission_spectrum(cav, default_grid(cav, n_grid)))
+        report = peak_splitting(transmission_spectrum(cav, default_grid(cav, 24001)))
         out.append(report.splitting if report.flag == "split" else None)
     return out

@@ -84,10 +84,6 @@ VERIFY_TOLERANCES = {
 # ---------------------------------------------------------------- formatting
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def _jsonify(obj):
     """Round floats to 12 significant digits and strip numpy types so the
     emitted JSON is reproducible byte for byte."""
@@ -100,7 +96,7 @@ def _jsonify(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(_fmt(obj))
+        return float(svg._fmt(obj))
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     return obj
@@ -115,20 +111,20 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _cell(v) -> str:
+    if isinstance(v, float):
+        return svg._fmt(v)
     if v is None:
         return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _fmt(v)
+    return str(v)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(c) for c in row) for row in rows)
+def _write_csv(path: Path, table: dict) -> None:
+    """Write a {header: column} table; a numpy column is read through
+    tolist() so every cell is a Python value."""
+    cells = [map(_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in table.values()]
+    lines = [",".join(table), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -368,24 +364,25 @@ def _sweep_points(cfg: RunConfig, *, classical: bool):
 @dataclass
 class Result:
     """What one run point writes: a JSON payload, CSV tables as
-    (header, rows) and SVG series as (xs, ys, title, x_label, y_label).
-    Tables and series are keyed by the suffix their file adds to the stem."""
+    {header: column} dicts and SVG charts as (title, x_label, y_label).
+    Both are keyed by the suffix their file adds to the stem; a chart plots
+    the first two columns of the table with its suffix."""
 
     payload: dict | None = None
     tables: dict = dataclasses.field(default_factory=dict)
-    series: dict = dataclasses.field(default_factory=dict)
+    charts: dict = dataclasses.field(default_factory=dict)
 
 
-def _emit(cfg: RunConfig, stem: str, result: Result, formats=None) -> None:
+def _emit(cfg: RunConfig, stem: str, result: Result) -> None:
     """Write {stem}{suffix}.csv/.svg and {stem}.json for each selected format."""
-    formats = cfg.formats if formats is None else formats
-    if "csv" in formats:
-        for suffix, (header, rows) in result.tables.items():
-            _write_csv(cfg.out_dir / f"{stem}{suffix}.csv", header, rows)
-    if "json" in formats and result.payload is not None:
+    if "csv" in cfg.formats:
+        for suffix, table in result.tables.items():
+            _write_csv(cfg.out_dir / f"{stem}{suffix}.csv", table)
+    if "json" in cfg.formats and result.payload is not None:
         _write_json(cfg.out_dir / f"{stem}.json", result.payload)
-    if "svg" in formats:
-        for suffix, (xs, ys, title, x_label, y_label) in result.series.items():
+    if "svg" in cfg.formats:
+        for suffix, (title, x_label, y_label) in result.charts.items():
+            xs, ys = list(result.tables[suffix].values())[:2]
             chart = svg.line_chart(xs, ys, title=title, x_label=x_label, y_label=y_label)
             (cfg.out_dir / f"{stem}{suffix}.svg").write_text(chart)
 
@@ -393,6 +390,15 @@ def _emit(cfg: RunConfig, stem: str, result: Result, formats=None) -> None:
 def _emit_points(cfg: RunConfig, verb: str, swept: bool, results) -> None:
     for i, result in enumerate(results):
         _emit(cfg, f"{verb}_{i:03d}" if swept else verb, result)
+
+
+def _emit_summary(cfg: RunConfig, verb: str, name, points, results, *headers) -> None:
+    """Write {verb}_summary.csv: the sweep axis (the point index when nothing
+    is swept), then one column per header, read from the payload key that the
+    header starts with."""
+    axis = {name: [value for value, _ in points]} if name else {"point": range(len(points))}
+    table = {**axis, **{h: [r.payload[h.split()[0]] for r in results] for h in headers}}
+    _emit(cfg, f"{verb}_summary", Result(tables={"": table}))
 
 
 # ------------------------------------------------------------------- verbs
@@ -417,15 +423,14 @@ def _spectrum_point(cfg, params) -> Result:
         "first_gap": values[1] - values[0] if k > 1 else None,
         "eigenvalues": values,
     }
+    if k == 1:
+        payload["first_gap_reason"] = "a gap needs two eigenvalues; only one was computed"
     if cfg.model == "bilinear":
         modes = normal_modes(params)
         payload["omega_minus"] = modes.omega_minus
         payload["omega_plus"] = modes.omega_plus
-    return Result(
-        payload,
-        tables={"": (["index", "energy [hbar=1 input frequency units]"], enumerate(values))},
-        series={"": (list(range(k)), values, f"{cfg.model} spectrum", "index", "energy")},
-    )
+    table = {"index": range(k), "energy [hbar=1 input frequency units]": values}
+    return Result(payload, {"": table}, {"": (f"{cfg.model} spectrum", "index", "energy")})
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
@@ -437,11 +442,9 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     results = [_spectrum_point(cfg, params) for _, params in points]
     _emit_points(cfg, "spectrum", bool(name), results)
     if name:
-        header = [name, "ground_energy [hbar=1 input frequency units]",
-                  "first_gap [hbar=1 input frequency units]"]
-        rows = [(value, r.payload["ground_energy"], r.payload["first_gap"])
-                for (value, _), r in zip(points, results)]
-        _emit(cfg, "spectrum_summary", Result(tables={"": (header, rows)}))
+        _emit_summary(cfg, "spectrum", name, points, results,
+                      "ground_energy [hbar=1 input frequency units]",
+                      "first_gap [hbar=1 input frequency units]")
     print(f"spectrum: wrote {len(results)} point(s) to {cfg.out_dir}")
     return 0
 
@@ -484,20 +487,9 @@ def cmd_witness(cfg: RunConfig, args) -> int:
         print(f"witness: refused ({exc})", file=sys.stderr)
         return 1
     _emit_points(cfg, "witness", bool(name), results)
-    header = [
-        name or "point",
-        "witness_value [hbar=1 input frequency units]",
-        "verdict",
-        "entropy_fock [1]",
-        "entropy_gaussian [1]",
-        "entropy_predicted [1]",
-    ]
-    keys = ("witness_value", "verdict", "entropy_fock", "entropy_gaussian", "entropy_predicted")
-    rows = [
-        (value if name else i, *(r.payload[key] for key in keys))
-        for i, ((value, _), r) in enumerate(zip(points, results))
-    ]
-    _emit(cfg, "witness_summary", Result(tables={"": (header, rows)}))
+    _emit_summary(cfg, "witness", name, points, results,
+                  "witness_value [hbar=1 input frequency units]", "verdict",
+                  "entropy_fock [1]", "entropy_gaussian [1]", "entropy_predicted [1]")
     verdicts = ", ".join(r.payload["verdict"] for r in results)
     print(f"witness: {verdicts} (files in {cfg.out_dir})")
     return 0
@@ -509,7 +501,6 @@ def _rabi_flop(cfg, params):
     grid = cfg.grid or TimeGrid(32768, 0.01)
     spec = _hilbert(cfg, model, params, FLOP_PHOTON_CUTOFF[model])
     traj = rabi_flop_signal(params, grid, model=model, spec=spec, seed=cfg.seed)
-    signal = traj.channels["matter_excitation"]
     spectrum = flop_spectrum(traj, channel="matter_excitation")
     peak = float(spectrum.frequencies[int(np.argmax(spectrum.intensities))])
     payload = {
@@ -521,20 +512,15 @@ def _rabi_flop(cfg, params):
         payload["normal_mode_splitting"] = normal_modes(params).splitting
     if model == "jc-rwa":
         payload["single_excitation_splitting"] = 2.0 * params.collective_coupling
-    power = (spectrum.frequencies, spectrum.intensities)
-    header = ["time [1/input frequency]", "matter_excitation [1]"]
-    result = Result(
-        payload,
-        tables={
-            "": (header, zip(traj.times, signal)),
-            "_spectrum": (["omega [input frequency units]", "power [arb]"], zip(*power)),
-        },
-        series={
-            "": (traj.times, signal, "matter excitation", "time", "<n_b>"),
-            "_spectrum": (*power, "flopping spectrum", "omega", "power"),
-        },
-    )
-    return result, f"dominant frequency {_fmt(peak)}"
+    tables = {
+        "": {"time [1/input frequency]": traj.times,
+             "matter_excitation [1]": traj.channels["matter_excitation"]},
+        "_spectrum": {"omega [input frequency units]": spectrum.frequencies,
+                      "power [arb]": spectrum.intensities},
+    }
+    charts = {"": ("matter excitation", "time", "<n_b>"),
+              "_spectrum": ("flopping spectrum", "omega", "power")}
+    return Result(payload, tables, charts), f"dominant frequency {svg._fmt(peak)}"
 
 
 def _semiclassical(cfg, params):
@@ -549,15 +535,12 @@ def _semiclassical(cfg, params):
         "max_abs_b": float(np.abs(b).max()),
         "energy_drift": float(np.max(np.abs(energy - energy[0]))),
     }
-    header = ["time [1/input frequency]", "re_a [1]", "im_a [1]",
-              "re_b [1]", "im_b [1]", "energy [hbar=1 input frequency units]"]
-    result = Result(
-        payload,
-        tables={"": (header, zip(traj.times, a.real, a.imag, b.real, b.imag, energy))},
-        series={"": (traj.times, a.real, "mean field", "time", "Re <a>")},
-    )
+    table = {"time [1/input frequency]": traj.times, "re_a [1]": a.real, "im_a [1]": a.imag,
+             "re_b [1]": b.real, "im_b [1]": b.imag,
+             "energy [hbar=1 input frequency units]": energy}
+    result = Result(payload, {"": table}, {"": ("mean field", "time", "Re <a>")})
     return result, (
-        f"max |<a>| {_fmt(payload['max_abs_a'])}, max |<b>| {_fmt(payload['max_abs_b'])}"
+        f"max |<a>| {svg._fmt(payload['max_abs_a'])}, max |<b>| {svg._fmt(payload['max_abs_b'])}"
     )
 
 
@@ -579,12 +562,9 @@ def _vacuum_correlation(cfg, params):
         "total_weight": float(spectrum.intensities.sum()),
         "peaks": lines,
     }
-    weights = (spectrum.frequencies, spectrum.intensities)
-    result = Result(
-        payload,
-        tables={"": (["omega [input frequency units]", "weight [1]"], zip(*weights))},
-        series={"": (*weights, "vacuum correlation spectrum", "omega", "weight")},
-    )
+    table = {"omega [input frequency units]": spectrum.frequencies,
+             "weight [1]": spectrum.intensities}
+    result = Result(payload, {"": table}, {"": ("vacuum correlation spectrum", "omega", "weight")})
     return result, f"{len(lines)} line(s) above floor"
 
 
@@ -634,12 +614,8 @@ def _classical_point(cfg, cavity) -> Result:
     except (ConfigurationError, DomainError) as exc:
         for key in ("quantum_splitting", "relative_deviation"):
             payload[key], payload[f"{key}_reason"] = None, str(exc)
-    curve = (spectrum.frequencies, spectrum.intensities)
-    return Result(
-        payload,
-        tables={"": (["omega [rad/s]", "transmission [1]"], zip(*curve))},
-        series={"": (*curve, "cavity transmission", "omega [rad/s]", "T")},
-    )
+    table = {"omega [rad/s]": spectrum.frequencies, "transmission [1]": spectrum.intensities}
+    return Result(payload, {"": table}, {"": ("cavity transmission", "omega [rad/s]", "T")})
 
 
 def cmd_classical(cfg: RunConfig, args) -> int:
@@ -649,13 +625,8 @@ def cmd_classical(cfg: RunConfig, args) -> int:
     results = [_classical_point(cfg, cavity) for _, cavity in points]
     _emit_points(cfg, "classical", bool(name), results)
     if name:
-        header = [name, "splitting [rad/s]", "predicted_splitting [rad/s]", "flag"]
-        keys = ("splitting", "predicted_splitting", "flag")
-        rows = [
-            (value, *(r.payload[key] for key in keys))
-            for (value, _), r in zip(points, results)
-        ]
-        _emit(cfg, "classical_summary", Result(tables={"": (header, rows)}))
+        _emit_summary(cfg, "classical", name, points, results,
+                      "splitting [rad/s]", "predicted_splitting [rad/s]", "flag")
     flags = ", ".join(r.payload["flag"] for r in results)
     print(f"classical: {flags} (files in {cfg.out_dir})")
     return 0
@@ -820,7 +791,7 @@ def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
 def cmd_verify(cfg: RunConfig, args) -> int:
     report = run_verification(cfg.verify_tolerances, seed=cfg.seed)
     # the report is written whatever the selected formats
-    _emit(cfg, "verify_report", Result(report), formats=("json",))
+    _write_json(cfg.out_dir / "verify_report.json", report)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"verify: {check['name']}: {status}")

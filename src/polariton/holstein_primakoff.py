@@ -156,7 +156,6 @@ def dicke_vs_bilinear_gap(
     n_values,
     *,
     photon_cutoff: int = 8,
-    matter_cutoff: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> GapComparison:
     """Compare first excitation gaps of the finite-N ladder model and the
@@ -170,10 +169,8 @@ def dicke_vs_bilinear_gap(
         raise ConfigurationError(f"N sweep must contain positive integers, got {n_values}")
     params.require_bilinear_stable()
     lam = params.collective_coupling
-    if matter_cutoff is None:
-        matter_cutoff = photon_cutoff + 1
 
-    bspec = HilbertSpec(photon_cutoff=photon_cutoff, matter_dim=matter_cutoff + 1)
+    bspec = HilbertSpec(photon_cutoff=photon_cutoff, matter_dim=photon_cutoff + 2)
     bparams = ModelParams.from_collective(
         params.omega_a, params.omega_b, lam, n_atoms=1
     )

@@ -156,13 +156,13 @@ class HermitianOperator:
         self.values = values
 
     @classmethod
-    def from_dense(cls, matrix, tol=HERMITICITY_TOL):
+    def from_dense(cls, matrix):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ConfigurationError(f"expected a square matrix, got {matrix.shape}")
         scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
         dev = float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
-        if dev > tol * max(1.0, scale):
+        if dev > HERMITICITY_TOL * max(1.0, scale):
             raise ConfigurationError(
                 f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e}"
             )

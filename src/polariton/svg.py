@@ -13,6 +13,7 @@ N_TICKS = 5
 
 
 def _fmt(x: float) -> str:
+    """The 12-significant-digit rule of every output file."""
     return f"{x:.12g}"
 
 
@@ -33,8 +34,8 @@ def line_chart(xs, ys, *, title="", x_label="", y_label="") -> str:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     plot_w0, plot_w1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     plot_h0, plot_h1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
-    px = _scale(xs, x_lo, x_hi, plot_w0, plot_w1)
-    py = _scale(ys, y_lo, y_hi, plot_h0, plot_h1)
+    px = _scale(xs, x_lo, x_hi, plot_w0, plot_w1).tolist()
+    py = _scale(ys, y_lo, y_hi, plot_h0, plot_h1).tolist()
     points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
 
     parts = [

@@ -9,6 +9,7 @@ from polariton.classical import (
     CavityParams,
     _peak_indices,
     classical_quantum_agreement,
+    default_grid,
     lorentz_permittivity,
     matched_coupling,
     matched_model_params,
@@ -199,6 +200,20 @@ def test_agreement_without_coupling_reports_no_split():
     report = classical_quantum_agreement(_cavity(dipole_moment=1e-30))
     assert report.flag != "split"
     assert report.relative_deviation is None
+
+
+def test_default_grid_keeps_a_positive_lower_end():
+    cav = _cavity()
+    span = max(3.0 * predicted_splitting(cav), 60.0 * cav.gamma,
+               20.0 * cav.free_spectral_range / cav.finesse)
+    # a grid that was positive is unchanged to the bit
+    expected = np.linspace(OMEGA_B - span, OMEGA_B + span, 4001)
+    assert np.array_equal(default_grid(cav, 4001), expected)
+    # 60 linewidths beyond omega_b: the lower end stops one step above zero
+    wide = default_grid(_cavity(gamma=5e13), 4001)
+    assert wide[-1] == OMEGA_B + 3e15
+    assert wide[0] == wide[-1] / 4001 > 0.0
+    assert np.all(np.diff(wide) > 0.0)
 
 
 def test_splitting_vs_n_handles_unresolved_points():

@@ -346,6 +346,96 @@ def test_classical_nulls_carry_reasons(tmp_path):
     assert "no-splitting" in damped["relative_deviation_reason"]
 
 
+def test_default_probe_grid_stays_positive_for_a_damped_cavity(tmp_path):
+    # 60 linewidths exceed omega_b, which used to push the grid below zero
+    cavity = dict(_cavity_block(), gamma=5e13)
+    cfg = _write_config(tmp_path / "cfg.json", {"model": "classical", "cavity": cavity})
+    assert main(["classical", "--config", cfg, "--format", "csv", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "classical.csv").read_text().splitlines()[1:]
+    omegas = [float(row.split(",")[0]) for row in rows]
+    assert len(omegas) == 4001 and omegas[0] > 0.0
+
+
+def test_quantum_splitting_does_not_depend_on_a_probe_grid(tmp_path):
+    # 40 linewidths exceed omega_b on the matched-coupling grid
+    cavity = dict(_cavity_block(), gamma=7e13)
+    omega_b = cavity["omega_b"]
+    config = {
+        "cavity": cavity,
+        "freq_grid": {"min": 0.7 * omega_b, "max": 1.3 * omega_b, "n": 4001},
+    }
+    cfg = _write_config(tmp_path / "cfg.json", config)
+    assert main(["classical", "--config", cfg, "--format", "json", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "classical.json").read_text())
+    assert payload["flag"] == "split"
+    assert payload["quantum_splitting"] == pytest.approx(2.0 * payload["matched_lambda"], rel=1e-2)
+    assert "quantum_splitting_reason" not in payload
+
+
+def _polyline_points(svg_text):
+    start = svg_text.index('<polyline points="') + len('<polyline points="')
+    return svg_text[start : svg_text.index('"', start)].split()
+
+
+@pytest.mark.parametrize(
+    "argv, config, n_charts",
+    [
+        (["spectrum"], {}, 1),
+        (["spectrum"], _SWEEP_G, 2),
+        (["witness"], {}, 0),
+        (["classical"], _CLASSICAL, 1),
+        (["dynamics", "rabi-flop"], {"grid": {"n_samples": 1024, "dt": 0.01}}, 2),
+        (["dynamics", "semiclassical"], {"grid": {"n_samples": 1000, "dt": 0.01}}, 1),
+        (["dynamics", "vacuum-correlation"], {}, 1),
+        (["verify"], {}, 0),
+    ],
+)
+def test_each_chart_plots_its_own_table(tmp_path, argv, config, n_charts):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", config)
+    assert main([*argv, "--config", cfg, "--format", "csv,svg", "--out", str(out)]) == 0
+    charts = sorted(out.glob("*.svg"))
+    assert len(charts) == n_charts
+    for chart in charts:
+        rows = chart.with_suffix(".csv").read_text().splitlines()[1:]
+        assert len(_polyline_points(chart.read_text())) == len(rows) > 1
+
+
+def test_csv_cells_follow_one_rule(tmp_path):
+    from polariton.cli import _cell
+
+    # witness summary: an int point index, a verdict string, 12-digit floats
+    out = tmp_path / "witness"
+    assert main(["witness", "--format", "csv,json", "--out", str(out)]) == 0
+    payload = json.loads((out / "witness.json").read_text())
+    header, row = (out / "witness_summary.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["point"] == "0"
+    assert cells["verdict"] == "entangled"
+    for key in ("witness_value", "entropy_fock", "entropy_gaussian", "entropy_predicted"):
+        (cell,) = (v for k, v in cells.items() if k.split()[0] == key)
+        assert cell == f"{payload[key]:.12g}"
+
+    # spectrum sweep with one eigenvalue: no gap, so an empty cell and a reason;
+    # sweep values are written as given, a string as is and a float to 12 digits
+    out = tmp_path / "spectrum"
+    config = {
+        "spectrum": {"n_eigenvalues": 1},
+        "sweep": {"name": "g", "values": ["0.1", 0.30000000000000004]},
+    }
+    cfg = _write_config(tmp_path / "cfg.json", config)
+    assert main(["spectrum", "--config", cfg, "--format", "csv,json", "--out", str(out)]) == 0
+    lines = (out / "spectrum_summary.csv").read_text().splitlines()
+    assert lines[0].split(",")[0::2] == ["g", "first_gap [hbar=1 input frequency units]"]
+    for i, g in enumerate(("0.1", "0.3")):
+        point = json.loads((out / f"spectrum_00{i}.json").read_text())
+        assert lines[i + 1] == f"{g},{point['ground_energy']:.12g},"
+        assert point["first_gap"] is None and "two eigenvalues" in point["first_gap_reason"]
+
+    # no table holds a bool today; the rule still spells it the JSON way
+    assert (_cell(True), _cell(False), _cell(None)) == ("true", "false", "")
+
+
 def test_unresolved_slope_is_written_as_null_with_a_reason(tmp_path, monkeypatch):
     from polariton import cli
 

@@ -69,6 +69,19 @@ CASES = [
         "sweep": {"name": "n_dipoles", "values": [25, 100, 400]},
     }),
     ("verify", ["verify"], {}),
+    ("spectrum-g-sweep-one-eigenvalue", ["spectrum"], {
+        "spectrum": {"n_eigenvalues": 1},
+        "sweep": {"name": "g", "values": [0.1, 0.2]},
+    }),
+    ("classical-damped-default-grid", ["classical", *ALL_FORMATS], {
+        "model": "classical",
+        "cavity": dict(REFERENCE_CAVITY, gamma=5e13),
+    }),
+    ("classical-damped-freq-grid", ["classical", "--format", "json"], {
+        "model": "classical",
+        "cavity": dict(REFERENCE_CAVITY, gamma=7e13),
+        "freq_grid": {"min": 1.68e15, "max": 3.12e15, "n": 4001},
+    }),
 ]
 
 
