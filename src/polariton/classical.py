@@ -19,14 +19,17 @@ import warnings
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import epsilon_0 as VACUUM_PERMITTIVITY
-from scipy.constants import hbar as HBAR
 
 from .errors import ConfigurationError, DomainError
 from .model import ModelParams
 from .series import SpectrumSeries
 from .spectral import normal_modes
+
+# SI values of CODATA 2022, written out so that no run depends on which
+# edition the installed scipy.constants ships
+SPEED_OF_LIGHT = 299792458.0  # m/s
+VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m
+HBAR = 6.62607015e-34 / (2 * math.pi)  # J s
 
 PROMINENCE_FLOOR = 0.01  # fraction of the global maximum
 RESONANT_TUNING_TOL = 1e-6  # fractional detuning of omega_b from a cavity mode

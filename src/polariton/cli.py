@@ -24,6 +24,9 @@ import numpy as np
 
 from . import svg
 from .classical import (
+    HBAR,
+    SPEED_OF_LIGHT,
+    VACUUM_PERMITTIVITY,
     CavityParams,
     classical_quantum_agreement,
     default_grid,
@@ -68,7 +71,7 @@ from .witness import (
     witness_evaluate,
 )
 
-QUANTUM_MODELS = ("bilinear", "dicke", "jc-rwa")
+QUANTUM_MODELS = tuple(BUILDERS)
 ALL_FORMATS = ("csv", "json", "svg")
 
 VERIFY_TOLERANCES = {
@@ -137,7 +140,7 @@ class RunConfig:
     params: ModelParams
     hilbert: dict  # the photon_cutoff and matter_dim the config gives
     cavity: CavityParams | None
-    grid: TimeGrid | None
+    grid: dict  # the n_samples and dt the config gives
     freq_grid: tuple | None
     n_eigenvalues: int
     initial_a: complex
@@ -149,24 +152,54 @@ class RunConfig:
     verify_tolerances: dict
 
 
-# the keys each config block may hold; None marks a top-level scalar
+# every config key and the type its value is read as; a top-level scalar has
+# its own type, and None leaves a value to the code that uses it
 _BLOCK_KEYS = {
     "model": None,
-    "seed": None,
-    "params": {"omega_a", "omega_b", "g", "n_atoms"},
-    "hilbert": {"photon_cutoff", "matter_dim"},
+    "seed": int,
+    "params": {"omega_a": float, "omega_b": float, "g": float, "n_atoms": int},
+    "hilbert": {"photon_cutoff": int, "matter_dim": int},
     "cavity": {
-        "length", "reflectivity", "background_index", "area", "n_dipoles",
-        "dipole_moment", "omega_b", "gamma",
+        "length": float, "reflectivity": float, "background_index": float, "area": float,
+        "n_dipoles": int, "dipole_moment": float, "omega_b": float, "gamma": float,
     },
-    "grid": {"n_samples", "dt"},
-    "freq_grid": {"min", "max", "n"},
-    "spectrum": {"n_eigenvalues"},
-    "initial": {"a_re", "a_im", "b_re", "b_im"},
-    "sweep": {"name", "values"},
-    "output": {"dir", "formats"},
-    "verify": {"tolerances"},
+    "grid": {"n_samples": int, "dt": float},
+    "freq_grid": {"min": float, "max": float, "n": int},
+    "spectrum": {"n_eigenvalues": int},
+    "initial": {"a_re": float, "a_im": float, "b_re": float, "b_im": float},
+    "sweep": {"name": None, "values": None},
+    "output": {"dir": None, "formats": None},
+    "verify": {"tolerances": None},
 }
+
+
+def _read(kind, value, where: str):
+    """value read as kind.  A number key refuses a bool and anything float()
+    cannot read; an int key refuses a non-integral number instead of
+    rounding it."""
+    if kind is None:
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ConfigurationError(f"{where} must be a number, got {value!r}")
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return value if isinstance(value, int) else int(number)
+
+
+def _filled(blocks: dict, name: str, **defaults) -> dict:
+    """The block's values over the given defaults; a key without a default
+    is required."""
+    values = {**defaults, **blocks.get(name, {})}
+    missing = set(_BLOCK_KEYS[name]) - set(values)
+    if missing:
+        raise ConfigurationError(f"{name} block missing keys: {sorted(missing)}")
+    return values
 
 
 def _load_config(args) -> RunConfig:
@@ -192,83 +225,54 @@ def _parse_config(args) -> RunConfig:
     unknown = set(raw) - set(_BLOCK_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    for name, allowed in _BLOCK_KEYS.items():
-        if allowed is None or name not in raw:
+    blocks = {}
+    for name, kinds in _BLOCK_KEYS.items():
+        if name not in raw:
+            continue
+        if not isinstance(kinds, dict):
+            blocks[name] = _read(kinds, raw[name], name)
             continue
         if not isinstance(raw[name], dict):
             raise ConfigurationError(f"config block '{name}' must be a JSON object")
-        unknown = set(raw[name]) - allowed
+        unknown = set(raw[name]) - set(kinds)
         if unknown:
             raise ConfigurationError(f"unknown keys in config block '{name}': {sorted(unknown)}")
+        blocks[name] = {k: _read(kinds[k], v, f"{name}.{k}") for k, v in raw[name].items()}
 
-    model = raw.get("model", "bilinear")
+    model = blocks.get("model", "bilinear")
     if model not in QUANTUM_MODELS + ("classical", "semiclassical"):
         raise ConfigurationError(f"unknown model '{model}'")
 
-    pblock = raw.get("params", {})
-    params = ModelParams(
-        omega_a=float(pblock.get("omega_a", 1.0)),
-        omega_b=float(pblock.get("omega_b", 1.0)),
-        g=float(pblock.get("g", 0.2)),
-        n_atoms=int(pblock.get("n_atoms", 1)),
-    )
-
-    hblock = raw.get("hilbert", {})
-    hilbert = {k: int(hblock[k]) for k in ("photon_cutoff", "matter_dim") if k in hblock}
-
+    params = ModelParams(**_filled(blocks, "params", omega_a=1.0, omega_b=1.0, g=0.2, n_atoms=1))
     cavity = None
-    if "cavity" in raw:
-        cblock = raw["cavity"]
-        missing = _BLOCK_KEYS["cavity"] - {"background_index"} - set(cblock)
-        if missing:
-            raise ConfigurationError(f"cavity block missing keys: {sorted(missing)}")
-        cavity = CavityParams(
-            length=float(cblock["length"]),
-            reflectivity=float(cblock["reflectivity"]),
-            background_index=float(cblock.get("background_index", 1.0)),
-            area=float(cblock["area"]),
-            n_dipoles=int(cblock["n_dipoles"]),
-            dipole_moment=float(cblock["dipole_moment"]),
-            omega_b=float(cblock["omega_b"]),
-            gamma=float(cblock["gamma"]),
-        )
-
-    grid = None
-    if "grid" in raw:
-        gblock = raw["grid"]
-        grid = TimeGrid(
-            n_samples=int(gblock.get("n_samples", 8192)),
-            dt=float(gblock.get("dt", 0.02)),
-        )
+    if "cavity" in blocks:
+        cavity = CavityParams(**_filled(blocks, "cavity", background_index=1.0))
 
     freq_grid = None
-    if "freq_grid" in raw:
-        fblock = raw["freq_grid"]
-        for key in ("min", "max", "n"):
-            if key not in fblock:
-                raise ConfigurationError(f"freq_grid block missing '{key}'")
-        freq_grid = (float(fblock["min"]), float(fblock["max"]), int(fblock["n"]))
+    if "freq_grid" in blocks:
+        fblock = _filled(blocks, "freq_grid")
+        freq_grid = (fblock["min"], fblock["max"], fblock["n"])
         finite = all(map(math.isfinite, freq_grid))
         if not (finite and freq_grid[0] < freq_grid[1]) or freq_grid[2] < 2:
             raise ConfigurationError("freq_grid needs finite min < max and n >= 2")
 
-    n_eigenvalues = int(raw.get("spectrum", {}).get("n_eigenvalues", 10))
+    n_eigenvalues = _filled(blocks, "spectrum", n_eigenvalues=10)["n_eigenvalues"]
     if n_eigenvalues < 1:
         raise ConfigurationError("spectrum.n_eigenvalues must be >= 1")
 
-    iblock = raw.get("initial", {})
-    initial_a = complex(float(iblock.get("a_re", 0.0)), float(iblock.get("a_im", 0.0)))
-    initial_b = complex(float(iblock.get("b_re", 0.0)), float(iblock.get("b_im", 0.0)))
+    iblock = _filled(blocks, "initial", a_re=0.0, a_im=0.0, b_re=0.0, b_im=0.0)
+    initial_a = complex(iblock["a_re"], iblock["a_im"])
+    initial_b = complex(iblock["b_re"], iblock["b_im"])
     if not (cmath.isfinite(initial_a) and cmath.isfinite(initial_b)):
         raise ConfigurationError("initial amplitudes must be finite")
 
-    seed = int(raw.get("seed", DEFAULT_SEED))
+    seed = blocks.get("seed", DEFAULT_SEED)
     if getattr(args, "seed", None) is not None:
-        seed = int(args.seed)
+        seed = args.seed
 
     sweep = None
-    if "sweep" in raw:
-        sblock = raw["sweep"]
+    if "sweep" in blocks:
+        sblock = blocks["sweep"]
         if "name" not in sblock or "values" not in sblock or not sblock["values"]:
             raise ConfigurationError("sweep block needs 'name' and non-empty 'values'")
         sweep = (str(sblock["name"]), tuple(sblock["values"]))
@@ -280,9 +284,9 @@ def _parse_config(args) -> RunConfig:
         parts = [v for v in values.split(",") if v]
         if not parts:
             raise ConfigurationError("--sweep expects NAME=v1,v2,...")
-        sweep = (name.strip(), tuple(float(v) for v in parts))
+        sweep = (name.strip(), tuple(parts))
 
-    oblock = raw.get("output", {})
+    oblock = blocks.get("output", {})
     out_dir = Path(oblock.get("dir", "."))
     if getattr(args, "out", None):
         out_dir = Path(args.out)
@@ -296,14 +300,13 @@ def _parse_config(args) -> RunConfig:
         )
 
     tolerances = dict(VERIFY_TOLERANCES)
-    vblock = raw.get("verify", {})
-    overrides = vblock.get("tolerances", {})
+    overrides = blocks.get("verify", {}).get("tolerances", {})
     if not isinstance(overrides, dict):
         raise ConfigurationError("verify.tolerances must be a JSON object")
     bad = set(overrides) - set(tolerances)
     if bad:
         raise ConfigurationError(f"unknown verify tolerances: {sorted(bad)}")
-    tolerances.update({k: float(v) for k, v in overrides.items()})
+    tolerances.update({k: _read(float, v, f"verify.tolerances.{k}") for k, v in overrides.items()})
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,9 +318,9 @@ def _parse_config(args) -> RunConfig:
     return RunConfig(
         model=model,
         params=params,
-        hilbert=hilbert,
+        hilbert=blocks.get("hilbert", {}),
         cavity=cavity,
-        grid=grid,
+        grid=blocks.get("grid", {}),
         freq_grid=freq_grid,
         n_eigenvalues=n_eigenvalues,
         initial_a=initial_a,
@@ -338,24 +341,18 @@ def _hilbert(cfg: RunConfig, model: str, params: ModelParams, cutoff: int) -> Hi
 
 
 def _sweep_points(cfg: RunConfig, *, classical: bool):
-    """Resolve the sweep axis against the right parameter block and return
-    (label, [(value, params_or_cavity), ...])."""
-    base = cfg.cavity if classical else cfg.params
+    """Resolve the sweep axis against the params or cavity block, read each
+    value as that block's key, and return (label, [(value, params_or_cavity),
+    ...])."""
+    block, base = ("cavity", cfg.cavity) if classical else ("params", cfg.params)
     if cfg.sweep is None:
         return None, [(None, base)]
     name, values = cfg.sweep
-    fields = {f.name for f in dataclasses.fields(base)}
-    if name not in fields:
-        kind = "cavity" if classical else "model"
-        raise ConfigurationError(
-            f"sweep axis '{name}' is not a {kind} parameter ({sorted(fields)})"
-        )
-    cast = int if name in ("n_atoms", "n_dipoles") else float
-    try:
-        values = [(v, cast(v)) for v in values]
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"sweep values for '{name}' must be numbers") from None
-    return name, [(v, dataclasses.replace(base, **{name: x})) for v, x in values]
+    kinds = _BLOCK_KEYS[block]
+    if name not in kinds:
+        raise ConfigurationError(f"sweep axis '{name}' is not a {block} key ({sorted(kinds)})")
+    values = [_read(kinds[name], v, f"{block}.{name}") for v in values]
+    return name, [(v, dataclasses.replace(base, **{name: v})) for v in values]
 
 
 # ------------------------------------------------------------------ output
@@ -498,7 +495,7 @@ def cmd_witness(cfg: RunConfig, args) -> int:
 def _rabi_flop(cfg, params):
     model = cfg.model if cfg.model in QUANTUM_MODELS else "bilinear"
     # dt must resolve the spectral radius of the default truncation
-    grid = cfg.grid or TimeGrid(32768, 0.01)
+    grid = dataclasses.replace(TimeGrid(32768, 0.01), **cfg.grid)
     spec = _hilbert(cfg, model, params, FLOP_PHOTON_CUTOFF[model])
     traj = rabi_flop_signal(params, grid, model=model, spec=spec, seed=cfg.seed)
     spectrum = flop_spectrum(traj, channel="matter_excitation")
@@ -524,7 +521,7 @@ def _rabi_flop(cfg, params):
 
 
 def _semiclassical(cfg, params):
-    grid = cfg.grid or TimeGrid(20000, 0.01)
+    grid = dataclasses.replace(TimeGrid(20000, 0.01), **cfg.grid)
     traj = semiclassical_trajectory(params, cfg.initial_a, cfg.initial_b, grid)
     a, b, energy = (traj.channels[key] for key in ("a", "b", "energy"))
     payload = {
@@ -545,7 +542,7 @@ def _semiclassical(cfg, params):
 
 
 def _vacuum_correlation(cfg, params):
-    grid = cfg.grid or TimeGrid(8192, 0.05)
+    grid = dataclasses.replace(TimeGrid(8192, 0.05), **cfg.grid)
     spec = _hilbert(cfg, "bilinear", params, 12)
     spectrum = vacuum_correlation_spectrum(params, grid, spec=spec, seed=cfg.seed)
     modes = normal_modes(params)
@@ -646,22 +643,18 @@ def reference_cavity(
 ) -> CavityParams:
     """SI cavity tuned to its first longitudinal mode with the dipole moment
     solved so the predicted peak separation is coupling_fraction * omega_b."""
-    from scipy.constants import c, epsilon_0, hbar
-
-    length = math.pi * c / omega_b
+    length = math.pi * SPEED_OF_LIGHT / omega_b
     target = coupling_fraction * omega_b
-    dipole = target / math.sqrt(n_dipoles * omega_b / (hbar * epsilon_0 * area * length))
+    dipole = target / math.sqrt(n_dipoles * omega_b / (HBAR * VACUUM_PERMITTIVITY * area * length))
     # amplitude reflectivity from finesse = pi r / (1 - r^2)
     coef = math.pi / finesse
     r = (-coef + math.sqrt(coef * coef + 4.0)) / 2.0
-    return CavityParams(
-        length=length,
+    return CavityParams.resonant(
+        omega_b,
         reflectivity=r,
-        background_index=1.0,
         area=area,
         n_dipoles=n_dipoles,
         dipole_moment=dipole,
-        omega_b=omega_b,
         gamma=gamma_fraction * omega_b,
     )
 
@@ -694,7 +687,7 @@ def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
         "bilinear", params, (8, 10, 12), tol=tolerances["cutoff_final_delta"], seed=seed
     )
     h = build_bilinear_hamiltonian(params, default_spec("bilinear", params, 12))
-    dec = eigendecompose(h, seed=seed)
+    dec = eigendecompose(h, 3, seed=seed)
     modes = normal_modes(params)
     gap_lo = abs(float(dec.eigenvalues[1] - dec.eigenvalues[0]) - modes.omega_minus)
     gap_hi = abs(float(dec.eigenvalues[2] - dec.eigenvalues[0]) - modes.omega_plus)

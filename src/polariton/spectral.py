@@ -230,10 +230,11 @@ def cutoff_convergence(
     if observable not in ("ground_energy", "first_gap"):
         raise ConfigurationError(f"unknown observable '{observable}'")
 
+    k = 1 if observable == "ground_energy" else 2
     values = []
     for cutoff in cutoffs:
         h = BUILDERS[builder](params, default_spec(builder, params, cutoff))
-        dec = eigendecompose(h, seed=seed)
+        dec = eigendecompose(h, k, seed=seed)
         if observable == "ground_energy":
             values.append(float(dec.eigenvalues[0]))
         else:
@@ -255,5 +256,5 @@ def jc_polariton_splitting(
             "states at this coupling"
         )
     h = build_jc_rwa_hamiltonian(params, default_spec("jc-rwa", params, photon_cutoff))
-    dec = eigendecompose(h, seed=seed)
+    dec = eigendecompose(h, 3, seed=seed)
     return float(dec.eigenvalues[2] - dec.eigenvalues[1])

@@ -285,4 +285,6 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise DomainError(f"temperature must be non-negative, got {temperature}")
     if temperature == 0.0:
         return 0.0
-    return 1.0 / math.expm1(omega / temperature)
+    # exp(-x) / (1 - exp(-x)) underflows to 0 where 1 / expm1(x) would overflow
+    x = omega / temperature
+    return math.exp(-x) / -math.expm1(-x)

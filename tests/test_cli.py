@@ -93,6 +93,32 @@ def test_spectrum_asks_only_for_the_written_pairs(tmp_path, monkeypatch):
     assert len(json.loads((tmp_path / "spectrum.json").read_text())["eigenvalues"]) == 10
 
 
+def test_gap_and_ladder_callers_ask_only_for_the_pairs_they_read(monkeypatch):
+    from polariton import cli, holstein_primakoff, spectral
+    from polariton.holstein_primakoff import dicke_vs_bilinear_gap
+    from polariton.model import ModelParams
+    from polariton.spectral import cutoff_convergence, jc_polariton_splitting
+
+    asked = []
+    real = spectral.eigendecompose
+
+    def spy(h, k=None, **kwargs):
+        asked.append(k)
+        return real(h, k, **kwargs)
+
+    for module in (cli, holstein_primakoff, spectral):
+        monkeypatch.setattr(module, "eigendecompose", spy)
+    p = ModelParams.from_collective(1.0, 1.0, 0.1)
+    cutoff_convergence("bilinear", p, (4, 6))
+    cutoff_convergence("bilinear", p, (4, 6), observable="first_gap")
+    jc_polariton_splitting(ModelParams(1.0, 1.0, 0.01, 4))
+    dicke_vs_bilinear_gap(p, (2, 4))
+    assert asked == [1, 1, 2, 2, 3, 2, 2]
+    asked.clear()
+    assert cli.run_verification(cli.VERIFY_TOLERANCES)["all_passed"]
+    assert asked and None not in asked
+
+
 def test_witness_verdicts_and_keys(tmp_path):
     cfg = _write_config(
         tmp_path / "cfg.json",
@@ -218,7 +244,7 @@ def test_verify_accepts_tolerance_overrides(tmp_path):
     assert by_name["cross_route_entropy"]["passed"] is True
 
 
-def test_configuration_errors_exit_one(tmp_path):
+def test_configuration_errors_exit_one(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 1
     bad_model = _write_config(tmp_path / "m.json", {"model": "tight-binding"})
     assert main(["spectrum", "--config", bad_model]) == 1
@@ -247,9 +273,39 @@ def test_configuration_errors_exit_one(tmp_path):
         path = _write_config(tmp_path / f"block{i}.json", config)
         assert main(["spectrum", "--config", path, "--out", str(tmp_path / "b")]) == 1
     assert not (tmp_path / "b").exists()
+    # a value its key's type cannot hold as given is refused, naming the key
+    capsys.readouterr()
+    for i, (config, key) in enumerate([
+        ({"model": "dicke", "params": {"n_atoms": 2.5}}, "params.n_atoms"),
+        ({"spectrum": {"n_eigenvalues": 2.9}}, "spectrum.n_eigenvalues"),
+        ({"hilbert": {"photon_cutoff": 6.9}}, "hilbert.photon_cutoff"),
+        ({"seed": 3.5}, "seed"),
+        ({"params": {"g": False}}, "params.g"),
+    ]):
+        path = _write_config(tmp_path / f"typed{i}.json", config)
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path / "t")]) == 1
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+    assert main(["spectrum", "--sweep", "n_atoms=1.7,2", "--out", str(tmp_path / "s")]) == 1
+    assert "params.n_atoms" in capsys.readouterr().err
+    assert not any((tmp_path / "s").iterdir())
     # a truncation too large to allocate is a numerical failure, not a traceback
     huge = _write_config(tmp_path / "huge.json", {"hilbert": {"photon_cutoff": 1e9}})
     assert main(["spectrum", "--config", huge, "--out", str(tmp_path / "h")]) == 2
+
+
+def test_grid_block_follows_the_verb_default(tmp_path):
+    def flop(name, grid):
+        out = tmp_path / name
+        cfg = _write_config(tmp_path / f"{name}.json", {"grid": grid})
+        argv = ["dynamics", "rabi-flop", "--config", cfg, "--format", "csv", "--out", str(out)]
+        assert main(argv) == 0
+        rows = (out / "rabi_flop.csv").read_text().splitlines()[1:]
+        return len(rows), float(rows[1].split(",")[0])
+
+    # a key the grid block omits keeps the verb's own value, 32768 x 0.01
+    assert flop("samples", {"n_samples": 1024}) == (1024, 0.01)
+    assert flop("step", {"dt": 0.005}) == (32768, 0.005)
 
 
 def test_hilbert_block_is_used_as_given(tmp_path):
@@ -417,7 +473,7 @@ def test_csv_cells_follow_one_rule(tmp_path):
         assert cell == f"{payload[key]:.12g}"
 
     # spectrum sweep with one eigenvalue: no gap, so an empty cell and a reason;
-    # sweep values are written as given, a string as is and a float to 12 digits
+    # sweep values are written as read: a string as its number, a float to 12 digits
     out = tmp_path / "spectrum"
     config = {
         "spectrum": {"n_eigenvalues": 1},
@@ -468,7 +524,7 @@ def test_non_finite_json_exits_two(tmp_path, monkeypatch, capsys):
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     code = (
         "import sys, polariton.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.sparse'))))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     assert _run_cli(["-c", code]).stdout.strip() == "[]"
 

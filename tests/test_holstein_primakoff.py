@@ -15,6 +15,7 @@ from polariton.holstein_primakoff import (
     linearization_error,
 )
 from polariton.model import ModelParams
+from polariton.spectral import normal_modes
 
 
 def test_spin_rep_validation():
@@ -87,3 +88,4 @@ def test_gap_converges_to_bilinear_limit():
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert cmp.final_error < 1e-3
     assert cmp.bilinear_gap == pytest.approx(math.sqrt(0.8), abs=1e-9)
+    assert cmp.bilinear_gap == normal_modes(p).omega_minus

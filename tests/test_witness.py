@@ -158,6 +158,8 @@ def test_thermal_occupation_values():
     assert thermal_occupation(10.0, 1.0) == pytest.approx(1.0 / math.expm1(10.0), rel=1e-12)
     assert thermal_occupation(10.0, 1.0) < 5e-5
     assert thermal_occupation(1.0, 1.0) == pytest.approx(0.5819767068693265, abs=1e-12)
+    # omega / T above 709 overflows exp(omega / T); the occupation is 0
+    assert thermal_occupation(1.0, 1e-3) == 0.0
     with pytest.raises(DomainError):
         thermal_occupation(-1.0, 1.0)
     with pytest.raises(DomainError):

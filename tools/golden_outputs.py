@@ -82,6 +82,13 @@ CASES = [
         "cavity": dict(REFERENCE_CAVITY, gamma=7e13),
         "freq_grid": {"min": 1.68e15, "max": 3.12e15, "n": 4001},
     }),
+    ("rabi-flop-partial-grid", ["dynamics", "rabi-flop", *ALL_FORMATS], {
+        "grid": {"n_samples": 1024},
+    }),
+    ("spectrum-dicke-non-integral-n-atoms", ["spectrum"], {
+        "model": "dicke",
+        "params": {"n_atoms": 2.5},
+    }),
 ]
 
 
