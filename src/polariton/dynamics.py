@@ -47,8 +47,11 @@ def _check_dt(grid: TimeGrid, lambda_max: float) -> None:
 
 
 def _superpose(rates, modes, coeffs, times):
-    """Samples of sum_k coeffs_k exp(rates_k t) modes[:, k], one row per time."""
-    return (np.exp(np.outer(times, rates)) * coeffs) @ modes.T
+    """Samples of sum_k coeffs_k exp(rates_k t) modes[:, k], one row per time.
+    Modes with an exactly zero coefficient (another symmetry block than the
+    initial state) are skipped."""
+    live = coeffs != 0
+    return (np.exp(np.outer(times, rates[live])) * coeffs[live]) @ modes[:, live].T
 
 
 def evolve(

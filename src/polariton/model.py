@@ -241,9 +241,20 @@ class StateVector:
         return cls.basis_state(spec.dimension, spec.index(n_photon, k_matter))
 
 
+def _square_zeros(dim: int) -> np.ndarray:
+    """np.zeros((dim, dim)); a shape numpy refuses as beyond its index range
+    is reported as the failed allocation it is."""
+    try:
+        return np.zeros((dim, dim))
+    except ValueError as exc:
+        raise MemoryError(
+            f"cannot allocate a square matrix of dimension {dim:.6g}: {exc}"
+        ) from exc
+
+
 def annihilation_matrix(dim: int) -> np.ndarray:
     """Truncated boson annihilation operator, a|n> = sqrt(n)|n-1>."""
-    a = np.zeros((dim, dim))
+    a = _square_zeros(dim)
     idx = np.arange(1, dim)
     a[idx - 1, idx] = np.sqrt(idx.astype(float))
     return a
@@ -258,8 +269,8 @@ def spin_ladder_matrices(n_atoms: int):
     """
     j = n_atoms / 2.0
     dim = n_atoms + 1
+    jp = _square_zeros(dim)
     m = -j + np.arange(dim)
-    jp = np.zeros((dim, dim))
     amp = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
     jp[np.arange(1, dim), np.arange(dim - 1)] = amp
     jz = np.diag(m)

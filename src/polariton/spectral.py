@@ -25,10 +25,12 @@ KRYLOV_MAXITER = 10000
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues in ascending order with eigenvectors as matching columns."""
+    """Eigenvalues in ascending order with eigenvectors as matching columns;
+    blocks is the number of invariant blocks the operator was solved in."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    blocks: int
 
     @property
     def count(self) -> int:
@@ -54,8 +56,7 @@ class NormalModes:
         return self.omega_plus - self.omega_minus
 
 
-def _validate_decomposition(h: HermitianOperator, matrix, values, vectors):
-    scale = max(h.frobenius_norm(), 1e-300)
+def _validate_decomposition(scale, matrix, values, vectors):
     resid = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
     worst = float(resid.max()) if resid.size else 0.0
     if not (worst <= RESIDUAL_TOL * scale):
@@ -71,6 +72,54 @@ def _validate_decomposition(h: HermitianOperator, matrix, values, vectors):
         )
 
 
+def _blocked_eigh(h: HermitianOperator, k: int | None, scale: float):
+    """Lowest k (all when None) eigenpairs of h and the number of blocks,
+    solved one connected component of the sparsity graph at a time.  No
+    stored entry links two components, so each is an exact invariant block;
+    its pairs are validated against the scale of the whole operator, since
+    residuals off a block and overlaps between blocks vanish identically."""
+    from scipy.linalg import eigh
+    from scipy.sparse.csgraph import connected_components
+
+    n_blocks, labels = connected_components(h.to_sparse(), directed=False)
+    edges = np.arange(n_blocks + 1)
+    members = np.argsort(labels, kind="stable")  # ascending within each block
+    bounds = np.searchsorted(labels[members], edges)
+    local = np.empty(h.dim, dtype=np.int64)
+    local[members] = np.arange(h.dim) - bounds[labels[members]]
+    # stored entries grouped by block; row <= col keeps the local upper triangle
+    by_entry = np.argsort(labels[h.rows], kind="stable")
+    entry_bounds = np.searchsorted(labels[h.rows][by_entry], edges)
+
+    solved = []
+    for b in range(n_blocks):
+        index = members[bounds[b] : bounds[b + 1]]
+        entries = by_entry[entry_bounds[b] : entry_bounds[b + 1]]
+        block = HermitianOperator(
+            index.size, local[h.rows[entries]], local[h.cols[entries]], h.values[entries]
+        ).to_dense()
+        want = index.size if k is None else min(k, index.size)
+        if want < index.size:
+            values, vectors = eigh(block, subset_by_index=[0, want - 1])
+        else:
+            values, vectors = np.linalg.eigh(block)
+        _validate_decomposition(scale, block, values, vectors)
+        solved.append((index, values, vectors))
+
+    values = np.concatenate([block_values for _, block_values, _ in solved])
+    chosen = np.argsort(values, kind="stable")[:k]
+    column = np.full(values.size, -1)
+    column[chosen] = np.arange(chosen.size)
+    out = np.zeros((h.dim, chosen.size), dtype=solved[0][2].dtype)
+    start = 0
+    for index, block_values, vectors in solved:
+        cols = column[start : start + block_values.size]
+        keep = cols >= 0
+        out[np.ix_(index, cols[keep])] = vectors[:, keep]
+        start += block_values.size
+    return values[chosen], out, n_blocks
+
+
 def eigendecompose(
     h: HermitianOperator,
     k: int | None = None,
@@ -84,8 +133,15 @@ def eigendecompose(
     dense path is still used up to DENSE_DIM_LIMIT or when k >= dim - 1
     (which Krylov cannot serve), and a Krylov iteration (ARPACK Lanczos,
     start vector fixed by the seed) otherwise; method can force "dense" or
-    "krylov" explicitly.  Residual and orthonormality contracts are checked
-    for the returned pairs.
+    "krylov" explicitly.
+
+    The dense path never densifies the whole operator: it splits H into the
+    connected components of its sparsity graph, which are exact invariant
+    blocks (parity, excitation sectors), densifies one block at a time and
+    asks LAPACK only for the lowest min(k, block size) pairs of each, then
+    merges them by a stable sort.  Residual (1e-9 |H|_F) and orthonormality
+    (1e-10) contracts are checked for every returned pair, per block on the
+    dense path.
     """
     if k is not None and not (1 <= k <= h.dim):
         raise ConfigurationError(f"k = {k} outside 1..{h.dim}")
@@ -102,12 +158,9 @@ def eigendecompose(
             "eigenpairs k"
         )
 
+    scale = max(h.frobenius_norm(), 1e-300)
     if method == "dense":
-        matrix = h.to_dense()
-        values, vectors = np.linalg.eigh(matrix)
-        if k is not None:
-            values = values[:k]
-            vectors = vectors[:, :k]
+        values, vectors, blocks = _blocked_eigh(h, k, scale)
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -132,9 +185,9 @@ def eigendecompose(
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]
-
-    _validate_decomposition(h, matrix, values, vectors)
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+        _validate_decomposition(scale, matrix, values, vectors)
+        blocks = 1
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors, blocks=blocks)
 
 
 def ground_state(

@@ -294,6 +294,18 @@ def test_configuration_errors_exit_one(tmp_path, capsys):
     assert main(["spectrum", "--config", huge, "--out", str(tmp_path / "h")]) == 2
 
 
+@pytest.mark.parametrize("config", [
+    {"hilbert": {"photon_cutoff": 1e300}},
+    {"hilbert": {"photon_cutoff": 1e12}},
+    {"model": "dicke", "params": {"n_atoms": 1e300}},
+])
+def test_truncation_numpy_cannot_index_exits_two(tmp_path, capsys, config):
+    # numpy refuses these shapes with ValueError before trying to allocate
+    path = _write_config(tmp_path / "huge.json", config)
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path / "h")]) == 2
+    assert "out of memory" in capsys.readouterr().err
+
+
 def test_grid_block_follows_the_verb_default(tmp_path):
     def flop(name, grid):
         out = tmp_path / name

@@ -3,9 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polariton.errors import ConfigurationError, DomainError
-from polariton.model import HilbertSpec, ModelParams, build_bilinear_hamiltonian
+from polariton.model import (
+    BUILDERS,
+    HermitianOperator,
+    HilbertSpec,
+    ModelParams,
+    build_bilinear_hamiltonian,
+    default_spec,
+    total_excitation_operator,
+)
 from polariton.spectral import (
     cutoff_convergence,
     eigendecompose,
@@ -101,6 +110,59 @@ def test_auto_method_serves_every_k(monkeypatch):
     krylov = eigendecompose(h, k=3, seed=1234)
     assert krylov.count == 3
     assert np.allclose(krylov.eigenvalues, full.eigenvalues[:3], atol=1e-9)
+
+
+@pytest.mark.parametrize("model, g", [
+    ("dicke", 0.1), ("bilinear", 0.1), ("jc-rwa", 0.1),
+    ("dicke", 0.0), ("bilinear", 0.0), ("jc-rwa", 0.0),
+])
+@pytest.mark.parametrize("k", [None, 3])
+def test_dense_path_solves_each_symmetry_block_alone(monkeypatch, model, g, k):
+    p = ModelParams(omega_a=1.0, omega_b=1.2, g=g, n_atoms=3)
+    spec = default_spec(model, p, 5)
+    h = BUILDERS[model](p, spec)
+    if g == 0.0:
+        expected = h.dim
+    elif model == "jc-rwa":
+        # integers up to the rounding of sqrt(n)^2 in a^dag a
+        excitations = np.rint(np.diag(total_excitation_operator(p, spec).to_dense()))
+        expected = np.unique(excitations).size
+    else:
+        expected = 2  # parity
+    densified = []
+    real = HermitianOperator.to_dense
+    monkeypatch.setattr(
+        HermitianOperator, "to_dense", lambda op: densified.append(op.dim) or real(op)
+    )
+    dec = eigendecompose(h, k, seed=1234)
+    assert dec.blocks == expected
+    assert len(densified) == expected and sum(densified) == h.dim
+    assert max(densified) < h.dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(sorted(BUILDERS)),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    n_atoms=st.integers(1, 4),
+    photon_cutoff=st.integers(1, 6),
+    data=st.data(),
+)
+def test_spectrum_is_invariant_under_blocking(model, g, n_atoms, photon_cutoff, data):
+    p = ModelParams(omega_a=1.0, omega_b=1.1, g=g, n_atoms=n_atoms)
+    assume(model != "bilinear" or p.bilinear_stable())
+    h = BUILDERS[model](p, default_spec(model, p, photon_cutoff))
+    k = data.draw(st.one_of(st.none(), st.integers(1, h.dim)), label="k")
+    dense = h.to_dense()
+    reference = np.linalg.eigh(dense)[0]
+    tol = 1e-12 * h.frobenius_norm()
+    dec = eigendecompose(h, k, seed=1234)
+    assert dec.count == (h.dim if k is None else k)
+    assert np.max(np.abs(dec.eigenvalues - reference[: dec.count])) <= tol
+    if k is None:
+        v = dec.eigenvectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(h.dim))) <= 1e-10
+        assert np.max(np.abs(v.conj().T @ dense @ v - np.diag(dec.eigenvalues))) <= tol
 
 
 def test_ground_state_phase_is_deterministic():

@@ -89,6 +89,19 @@ CASES = [
         "model": "dicke",
         "params": {"n_atoms": 2.5},
     }),
+    ("spectrum-huge-cutoff", ["spectrum"], {"hilbert": {"photon_cutoff": 1e300}}),
+    # g = 0 leaves every basis state its own block, and the degenerate
+    # levels n + k sit in different blocks
+    ("spectrum-dicke-uncoupled", ["spectrum"], {
+        "model": "dicke",
+        "params": {"g": 0.0, "n_atoms": 3},
+    }),
+    # more pairs than most excitation sectors hold
+    ("spectrum-jc-rwa-many-pairs", ["spectrum"], {
+        "model": "jc-rwa",
+        "params": {"g": 0.1, "n_atoms": 3},
+        "spectrum": {"n_eigenvalues": 40},
+    }),
 ]
 
 
