@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .model import ModelParams
 from .series import SpectrumSeries
 from .spectral import normal_modes
@@ -186,7 +186,8 @@ def transmission_spectrum(cavity: CavityParams, omegas) -> SpectrumSeries:
 
     on an ascending frequency grid.  Warns (without failing) if the grid
     does not bracket the dipole resonance or if the cavity is not tuned to
-    it, since the splitting analysis assumes both."""
+    it, since the splitting analysis assumes both; raises NumericalError,
+    naming the first such frequency, if any intensity is not finite."""
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size < 2:
         raise ConfigurationError("frequency grid must hold at least two points")
@@ -204,12 +205,19 @@ def transmission_spectrum(cavity: CavityParams, omegas) -> SpectrumSeries:
         )
     if not (omegas[0] <= cavity.omega_b <= omegas[-1]):
         warnings.warn("frequency grid does not bracket the dipole resonance", stacklevel=2)
-    eps = lorentz_permittivity(cavity, omegas)
-    phi = omegas * np.sqrt(eps) * cavity.length / SPEED_OF_LIGHT
-    r2 = cavity.reflectivity**2
-    t2 = 1.0 - r2
-    amplitude = t2 * np.exp(1j * phi) / (1.0 - r2 * np.exp(2j * phi))
-    return SpectrumSeries(frequencies=omegas, intensities=np.abs(amplitude) ** 2)
+    with np.errstate(all="ignore"):  # a non-finite intensity is refused below
+        eps = lorentz_permittivity(cavity, omegas)
+        phi = omegas * np.sqrt(eps) * cavity.length / SPEED_OF_LIGHT
+        r2 = cavity.reflectivity**2
+        t2 = 1.0 - r2
+        amplitude = t2 * np.exp(1j * phi) / (1.0 - r2 * np.exp(2j * phi))
+        intensities = np.abs(amplitude) ** 2
+    bad = ~np.isfinite(intensities)
+    if bad.any():
+        raise NumericalError(
+            f"transmission is not finite at omega = {omegas[bad.argmax()]:.12g} rad/s"
+        )
+    return SpectrumSeries(frequencies=omegas, intensities=intensities)
 
 
 def _peak_indices(vals, floor):

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -124,11 +125,25 @@ def _cell(v) -> str:
 
 
 def _write_csv(path: Path, table: dict) -> None:
-    """Write a {header: column} table; a numpy column is read through
-    tolist() so every cell is a Python value."""
-    cells = [map(_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in table.values()]
-    lines = [",".join(table), *map(",".join, zip(*cells))]
-    path.write_text("\n".join(lines) + "\n")
+    """Write a {header: column} table with one % call over all its cells: a
+    float64 array column takes the number rule as its format, any other
+    column is read through tolist() and _cell.  A non-finite float is refused."""
+    formats, columns = [], []
+    for column in table.values():
+        if isinstance(column, np.ndarray) and column.dtype == np.float64:
+            finite = np.isfinite(column).all()
+            formats.append(svg.NUMBER_FORMAT)
+            columns.append(column.tolist())
+        else:
+            values = column.tolist() if isinstance(column, np.ndarray) else column
+            finite = all(math.isfinite(v) for v in values if isinstance(v, float))
+            formats.append("%s")
+            columns.append([_cell(v) for v in values])
+        if not finite:
+            raise NumericalError(f"{path.name} would hold a non-finite number")
+    rows = min(map(len, columns), default=0)
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    path.write_text(",".join(table) + "\n" + (",".join(formats) + "\n") * rows % cells)
 
 
 # ------------------------------------------------------------ configuration
@@ -619,7 +634,10 @@ def cmd_classical(cfg: RunConfig, args) -> int:
     if cfg.cavity is None:
         raise ConfigurationError("classical runs need a cavity block in the config")
     name, points = _sweep_points(cfg, classical=True)
-    results = [_classical_point(cfg, cavity) for _, cavity in points]
+    try:
+        results = [_classical_point(cfg, cavity) for _, cavity in points]
+    except ArithmeticError as exc:  # the cavity formulas' Python floats overflowed or hit 0
+        raise NumericalError(f"cavity arithmetic out of range ({exc})") from None
     _emit_points(cfg, "classical", bool(name), results)
     if name:
         _emit_summary(cfg, "classical", name, points, results,

@@ -369,8 +369,8 @@ def default_spec(model: str, params: ModelParams, photon_cutoff: int) -> Hilbert
 def total_excitation_operator(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
     """a^dag a + J_z + j, the quantity conserved by the rotating-wave model."""
     _, _, excitation = _spin_factors(params, spec)
-    a = annihilation_matrix(spec.photon_dim)
-    return _kron_sum([(1.0, a.T @ a, np.eye(spec.matter_dim)),
+    number = np.diag(np.arange(spec.photon_dim, dtype=float))  # exact, unlike a.T @ a
+    return _kron_sum([(1.0, number, np.eye(spec.matter_dim)),
                       (1.0, np.eye(spec.photon_dim), excitation)])
 
 

@@ -1,7 +1,11 @@
 """Minimal self-contained SVG line charts; no plotting dependency."""
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
+
+from .errors import NumericalError
 
 WIDTH = 720
 HEIGHT = 440
@@ -12,9 +16,13 @@ MARGIN_BOTTOM = 56
 N_TICKS = 5
 
 
+# The 12-significant-digit rule of every output file, kept as a % format so
+# that a whole table is formatted by one % call
+NUMBER_FORMAT = "%.12g"
+
+
 def _fmt(x: float) -> str:
-    """The 12-significant-digit rule of every output file."""
-    return f"{x:.12g}"
+    return NUMBER_FORMAT % x
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
@@ -25,7 +33,9 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 
 def line_chart(xs, ys, *, title="", x_label="", y_label="") -> str:
-    """One polyline with axes and tick labels, returned as an SVG document."""
+    """One polyline with axes and tick labels, returned as an SVG document.
+    Data that is not finite, or that overflows when scaled to the plot, is
+    refused with NumericalError."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -34,9 +44,13 @@ def line_chart(xs, ys, *, title="", x_label="", y_label="") -> str:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     plot_w0, plot_w1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     plot_h0, plot_h1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
-    px = _scale(xs, x_lo, x_hi, plot_w0, plot_w1).tolist()
-    py = _scale(ys, y_lo, y_hi, plot_h0, plot_h1).tolist()
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    with np.errstate(all="ignore"):  # a non-finite point is refused below
+        px = _scale(xs, x_lo, x_hi, plot_w0, plot_w1)
+        py = _scale(ys, y_lo, y_hi, plot_h0, plot_h1)
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        raise NumericalError(f"chart '{title}' would plot a non-finite point")
+    px, py = px.tolist(), py.tolist()
+    points = ("%.2f,%.2f " * len(px) % tuple(chain.from_iterable(zip(px, py))))[:-1]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

@@ -2,11 +2,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polariton
 from polariton.cli import main, reference_cavity
@@ -549,3 +553,153 @@ def test_out_flag_overrides_config(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "chosen")]) == 0
     assert (tmp_path / "chosen" / "spectrum.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("cavity, freq_grid, message", [
+    ({"dipole_moment": 1e150}, {"min": 1e15, "max": 4e15, "n": 11}, "transmission is not finite"),
+    ({}, {"min": 1e300, "max": 1.7e308, "n": 5}, "transmission is not finite"),
+    # Python float arithmetic in the cavity formulas: d**2 overflows, A L hbar eps0 reaches 0
+    ({"dipole_moment": 1e200}, None, "arithmetic out of range"),
+    ({"area": 1e-273}, None, "arithmetic out of range"),
+])
+def test_non_finite_classical_results_exit_two(tmp_path, capsys, cavity, freq_grid, message):
+    config = {"model": "classical", "cavity": {**_cavity_block(), **cavity}}
+    if freq_grid is not None:
+        config["freq_grid"] = freq_grid
+    cfg = _write_config(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    assert main(["classical", "--config", cfg, "--format", "csv,json,svg", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def test_writers_refuse_non_finite_numbers(tmp_path):
+    from polariton import svg
+    from polariton.cli import _write_csv
+    from polariton.errors import NumericalError
+
+    for table in ({"x": np.array([1.0, math.nan])}, {"x": [1.0, None, -math.inf]}):
+        with pytest.raises(NumericalError, match="non-finite"):
+            _write_csv(tmp_path / "t.csv", table)
+        assert not (tmp_path / "t.csv").exists()
+    # finite data whose span overflows once scaled to the plot
+    for xs, ys in (([0.0, 1.0], [0.0, math.inf]), ([-1e308, 1e308], [0.0, 1.0])):
+        with pytest.raises(NumericalError, match="non-finite"):
+            svg.line_chart(xs, ys)
+
+
+def _bit_pattern_floats():
+    rng = np.random.default_rng(11)
+    random = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+    tiny = np.finfo(float).smallest_subnormal
+    edges = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e300, -1e300, 1e-300, -1e-300]
+    return [*random.tolist(), *edges]
+
+
+def test_one_call_formats_match_the_per_value_rule():
+    from polariton import svg
+
+    values = _bit_pattern_floats()
+    for x in values:
+        assert "%.12g" % x == svg._fmt(x) == f"{x:.12g}"
+        assert "%.2f" % x == f"{x:.2f}"
+    # the same holds formatting all of them in one call
+    assert (svg.NUMBER_FORMAT + ",") * len(values) % tuple(values) == "".join(
+        f"{x:.12g}," for x in values
+    )
+
+
+def test_one_call_csv_matches_the_per_cell_rule(tmp_path):
+    from polariton.cli import _write_csv
+
+    def cell(v):  # the per-cell rule every CSV cell follows
+        if isinstance(v, float):
+            return f"{v:.12g}"
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return str(v)
+
+    floats = np.array([1.0 / 3, -0.0, 5e-324, 1e-310, -2.5e-300, 1e300, 0.1, 123456789.123456789])
+    n = floats.size
+    table = {
+        "index": range(n),
+        "float list": [None if i % 3 == 0 else 1.0 / (i + 7) for i in range(n)],
+        "label": [f"p{i}%s" for i in range(n)],
+        "flag": [i % 2 == 0 for i in range(n)],
+        "value [1]": floats,
+    }
+    _write_csv(tmp_path / "t.csv", table)
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()))
+    expected = [",".join(table), *(",".join(map(cell, row)) for row in rows)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def _log_floats(lo, hi):
+    """Positive floats spread evenly in log10 between 10**lo and 10**hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _assert_finite_cell(text):
+    try:
+        value = float(text)
+    except ValueError:
+        return  # a label, a flag or an empty cell
+    assert math.isfinite(value), text
+
+
+def _assert_finite_json(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for v in obj:
+            _assert_finite_json(v)
+    elif isinstance(obj, float):
+        assert math.isfinite(obj)
+
+
+_CAVITY_FUZZ = st.fixed_dictionaries({
+    key: st.one_of(st.just(value), values)
+    for (key, value), values in zip(_cavity_block().items(), [
+        _log_floats(-300, 300),  # length
+        st.one_of(st.floats(0.0, 1.0), _log_floats(-300, 0)),  # reflectivity
+        st.one_of(st.floats(1.0, 10.0), _log_floats(0, 300)),  # background_index
+        _log_floats(-300, 300),  # area
+        st.integers(0, 10**6),  # n_dipoles
+        st.one_of(st.just(0.0), _log_floats(-300, 300)),  # dipole_moment
+        _log_floats(-300, 300),  # omega_b
+        st.one_of(st.just(0.0), _log_floats(-300, 300)),  # gamma
+    ])
+})
+_FREQ_GRID_FUZZ = st.one_of(st.none(), st.fixed_dictionaries({
+    "min": _log_floats(-300, 300), "max": _log_floats(-300, 300), "n": st.integers(0, 64),
+}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cavity=_CAVITY_FUZZ, freq_grid=_FREQ_GRID_FUZZ)
+def test_classical_config_fuzz_exits_cleanly_and_writes_only_finite_numbers(cavity, freq_grid):
+    config = {"model": "classical", "cavity": cavity}
+    if freq_grid is not None:
+        config["freq_grid"] = freq_grid
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = _write_config(tmp / "cfg.json", config)
+        out = tmp / "out"
+        # an exception escaping main() is the traceback a user would see
+        code = main(["classical", "--config", cfg, "--format", "csv,json,svg", "--out", str(out)])
+        assert code in (0, 1, 2)
+        for path in out.glob("*.csv"):
+            for line in path.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    _assert_finite_cell(cell)
+        for path in out.glob("*.json"):
+            _assert_finite_json(json.loads(path.read_text()))
+        for path in out.glob("*.svg"):
+            text = path.read_text()
+            for point in _polyline_points(text):
+                for coordinate in point.split(","):
+                    _assert_finite_cell(coordinate)
+            for label in re.findall(r">([^<]*)</text>", text):
+                _assert_finite_cell(label)

@@ -161,6 +161,15 @@ def test_jc_conserves_total_excitation_and_dicke_does_not():
     assert np.linalg.norm(dicke @ n_op - n_op @ dicke) > 1e-3
 
 
+def test_total_excitation_operator_is_exactly_integer():
+    # JC-RWA, N = 3, cutoff 5: excitation numbers 0..8, each exactly
+    p = ModelParams(omega_a=1.0, omega_b=1.2, g=0.1, n_atoms=3)
+    spec = default_spec("jc-rwa", p, 5)
+    n_op = total_excitation_operator(p, spec).to_dense()
+    assert np.array_equal(np.unique(np.diag(n_op)), np.arange(9.0))
+    assert np.array_equal(n_op, np.diag(np.diag(n_op)))
+
+
 def test_hermitian_storage_round_trip():
     rng = np.random.default_rng(7)
     raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -185,7 +194,8 @@ def _dense_reference(model, p, spec):
     jp, jm, jz = spin_ladder_matrices(p.n_atoms)
     excitation = jz + p.total_spin * eye_m
     if model == "excitation":
-        return np.kron(a.T @ a, eye_m) + np.kron(eye_p, excitation)
+        number = np.diag(np.arange(spec.photon_dim, dtype=float))
+        return np.kron(number, eye_m) + np.kron(eye_p, excitation)
     h = p.omega_a * np.kron(a.T @ a, eye_m)
     h += p.omega_b * np.kron(eye_p, excitation)
     if model == "dicke":

@@ -102,6 +102,17 @@ CASES = [
         "params": {"g": 0.1, "n_atoms": 3},
         "spectrum": {"n_eigenvalues": 40},
     }),
+    # transmission that is not finite: refused, no result file written
+    ("classical-non-finite-dipole", ["classical", *ALL_FORMATS], {
+        "model": "classical",
+        "cavity": dict(REFERENCE_CAVITY, dipole_moment=1e150),
+        "freq_grid": {"min": 1e15, "max": 4e15, "n": 11},
+    }),
+    ("classical-overflow-grid", ["classical", *ALL_FORMATS], {
+        "model": "classical",
+        "cavity": REFERENCE_CAVITY,
+        "freq_grid": {"min": 1e300, "max": 1.7e308, "n": 5},
+    }),
 ]
 
 
