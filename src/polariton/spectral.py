@@ -17,20 +17,23 @@ from .model import (
 )
 
 DEFAULT_SEED = 1234
-DENSE_DIM_LIMIT = 4096
+DENSE_DIM_LIMIT = 512  # largest block densified on the auto path
 RESIDUAL_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
 KRYLOV_MAXITER = 10000
+KRYLOV_SHIFT = 1e-3  # Lanczos runs on H + KRYLOV_SHIFT |H|_F, see _lanczos
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues in ascending order with eigenvectors as matching columns;
-    blocks is the number of invariant blocks the operator was solved in."""
+    blocks is the number of invariant blocks the operator was solved in, and
+    krylov_blocks how many of them Lanczos served (the rest were dense)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     blocks: int
+    krylov_blocks: int
 
     @property
     def count(self) -> int:
@@ -72,12 +75,44 @@ def _validate_decomposition(scale, matrix, values, vectors):
         )
 
 
-def _blocked_eigh(h: HermitianOperator, k: int | None, scale: float):
-    """Lowest k (all when None) eigenpairs of h and the number of blocks,
-    solved one connected component of the sparsity graph at a time.  No
-    stored entry links two components, so each is an exact invariant block;
-    its pairs are validated against the scale of the whole operator, since
-    residuals off a block and overlaps between blocks vanish identically."""
+def _lanczos(matrix, k: int, seed: int):
+    """Lowest k eigenpairs of a sparse Hermitian matrix by ARPACK Lanczos,
+    from a start vector fixed by the seed, in ascending order.
+
+    ARPACK starts its basis from OP v0, not from v0, so an eigenvector that H
+    maps to (nearly) 0, such as the vacuum at a tiny coupling, is all but
+    erased and its eigenvalue can be missed.  OP is therefore H + c with
+    c = KRYLOV_SHIFT |H|_F: no wanted eigenvalue loses its weight unless it
+    sits at -c, and c is small enough to cost only round-off."""
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    dim = matrix.shape[0]
+    shift = KRYLOV_SHIFT * float(np.linalg.norm(matrix.data))
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    try:
+        values, vectors = eigsh(
+            matrix + shift * identity(dim, format="csr"),
+            k=k, which="SA", v0=v0, maxiter=KRYLOV_MAXITER,
+        )
+    except ArpackNoConvergence as exc:
+        got = np.asarray(exc.eigenvalues)
+        raise NumericalError(
+            f"Krylov iteration did not converge within {KRYLOV_MAXITER} "
+            f"iterations ({got.size}/{k} pairs found)",
+            residual=float("nan"),
+        ) from exc
+    order = np.argsort(values)
+    return values[order] - shift, vectors[:, order]
+
+
+def _blocked_eigh(h: HermitianOperator, k: int | None, scale: float, method: str, seed: int):
+    """Lowest k (all when None) eigenpairs of h, the number of blocks and the
+    number of them Lanczos served, solved one connected component of the
+    sparsity graph at a time.  No stored entry links two components, so each
+    is an exact invariant block; its pairs are validated against the scale of
+    the whole operator, since residuals off a block and overlaps between
+    blocks vanish identically."""
     from scipy.linalg import eigh
     from scipy.sparse.csgraph import connected_components
 
@@ -92,18 +127,27 @@ def _blocked_eigh(h: HermitianOperator, k: int | None, scale: float):
     entry_bounds = np.searchsorted(labels[h.rows][by_entry], edges)
 
     solved = []
+    krylov_blocks = 0
     for b in range(n_blocks):
         index = members[bounds[b] : bounds[b + 1]]
         entries = by_entry[entry_bounds[b] : entry_bounds[b + 1]]
         block = HermitianOperator(
             index.size, local[h.rows[entries]], local[h.cols[entries]], h.values[entries]
-        ).to_dense()
+        )
         want = index.size if k is None else min(k, index.size)
-        if want < index.size:
-            values, vectors = eigh(block, subset_by_index=[0, want - 1])
+        if want < index.size - 1 and (
+            method == "krylov" or (method == "auto" and index.size > DENSE_DIM_LIMIT)
+        ):
+            matrix = block.to_sparse()
+            values, vectors = _lanczos(matrix, want, seed)
+            krylov_blocks += 1
         else:
-            values, vectors = np.linalg.eigh(block)
-        _validate_decomposition(scale, block, values, vectors)
+            matrix = block.to_dense()
+            if want < index.size:
+                values, vectors = eigh(matrix, subset_by_index=[0, want - 1])
+            else:
+                values, vectors = np.linalg.eigh(matrix)
+        _validate_decomposition(scale, matrix, values, vectors)
         solved.append((index, values, vectors))
 
     values = np.concatenate([block_values for _, block_values, _ in solved])
@@ -117,7 +161,7 @@ def _blocked_eigh(h: HermitianOperator, k: int | None, scale: float):
         keep = cols >= 0
         out[np.ix_(index, cols[keep])] = vectors[:, keep]
         start += block_values.size
-    return values[chosen], out, n_blocks
+    return values[chosen], out, n_blocks, krylov_blocks
 
 
 def eigendecompose(
@@ -129,65 +173,32 @@ def eigendecompose(
 ) -> EigenDecomposition:
     """Lowest part of the spectrum of a Hermitian operator.
 
-    k = None requests the full decomposition (dense path).  With k given the
-    dense path is still used up to DENSE_DIM_LIMIT or when k >= dim - 1
-    (which Krylov cannot serve), and a Krylov iteration (ARPACK Lanczos,
-    start vector fixed by the seed) otherwise; method can force "dense" or
-    "krylov" explicitly.
-
-    The dense path never densifies the whole operator: it splits H into the
-    connected components of its sparsity graph, which are exact invariant
-    blocks (parity, excitation sectors), densifies one block at a time and
-    asks LAPACK only for the lowest min(k, block size) pairs of each, then
-    merges them by a stable sort.  Residual (1e-9 |H|_F) and orthonormality
-    (1e-10) contracts are checked for every returned pair, per block on the
-    dense path.
+    H is split into the connected components of its sparsity graph, which are
+    exact invariant blocks (parity, excitation sectors, single states at
+    g = 0), each block is solved on its own, and the lowest k pairs (all when
+    k is None) are merged by a stable sort.  A block goes to Krylov (ARPACK
+    Lanczos, start vector fixed by the seed) when k leaves it room
+    (min(k, block size) < block size - 1) and method is "krylov", or "auto"
+    with the block larger than DENSE_DIM_LIMIT; every other block is
+    densified alone and LAPACK is asked only for its lowest min(k, block
+    size) pairs.  No Lanczos run sees two blocks, so none can miss an
+    eigenvalue in another block.  Residual (1e-9 |H|_F) and orthonormality
+    (1e-10) contracts are checked for the pairs of every block.
     """
     if k is not None and not (1 <= k <= h.dim):
         raise ConfigurationError(f"k = {k} outside 1..{h.dim}")
     if method not in ("auto", "dense", "krylov"):
         raise ConfigurationError(f"unknown method '{method}'")
-    if method == "auto":
-        if k is None or h.dim <= DENSE_DIM_LIMIT or k >= h.dim - 1:
-            method = "dense"
-        else:
-            method = "krylov"
-    if method == "krylov" and k is None:
+    if method == "krylov" and (k is None or k >= h.dim - 1):
         raise ConfigurationError(
-            f"dimension {h.dim} needs the iterative path; pass the number of "
-            "eigenpairs k"
+            f"the iterative path needs k < dim - 1, got k={k}, dim={h.dim}"
         )
 
     scale = max(h.frobenius_norm(), 1e-300)
-    if method == "dense":
-        values, vectors, blocks = _blocked_eigh(h, k, scale)
-    else:
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-        if k >= h.dim - 1:
-            raise ConfigurationError(
-                f"iterative path needs k < dim - 1, got k={k}, dim={h.dim}"
-            )
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(h.dim)
-        matrix = h.to_sparse()
-        try:
-            values, vectors = eigsh(
-                matrix, k=k, which="SA", v0=v0, maxiter=KRYLOV_MAXITER
-            )
-        except ArpackNoConvergence as exc:
-            got = np.asarray(exc.eigenvalues)
-            raise NumericalError(
-                f"Krylov iteration did not converge within {KRYLOV_MAXITER} "
-                f"iterations ({got.size}/{k} pairs found)",
-                residual=float("nan"),
-            ) from exc
-        order = np.argsort(values)
-        values = values[order]
-        vectors = vectors[:, order]
-        _validate_decomposition(scale, matrix, values, vectors)
-        blocks = 1
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors, blocks=blocks)
+    values, vectors, blocks, krylov_blocks = _blocked_eigh(h, k, scale, method, seed)
+    return EigenDecomposition(
+        eigenvalues=values, eigenvectors=vectors, blocks=blocks, krylov_blocks=krylov_blocks
+    )
 
 
 def ground_state(

@@ -97,6 +97,19 @@ def test_spectrum_asks_only_for_the_written_pairs(tmp_path, monkeypatch):
     assert len(json.loads((tmp_path / "spectrum.json").read_text())["eigenvalues"]) == 10
 
 
+def test_spectrum_keeps_the_ground_energy_of_a_one_state_sector(tmp_path):
+    # dim 5213; the vacuum alone makes up the excitation-0 sector
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "model": "jc-rwa",
+        "params": {"g": 0.02, "n_atoms": 400},
+        "spectrum": {"n_eigenvalues": 6},
+    })
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["ground_energy"] == 0.0
+    assert payload["eigenvalues"][:2] == [0.0, 0.6]
+
+
 def test_gap_and_ladder_callers_ask_only_for_the_pairs_they_read(monkeypatch):
     from polariton import cli, holstein_primakoff, spectral
     from polariton.holstein_primakoff import dicke_vs_bilinear_gap

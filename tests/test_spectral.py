@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from polariton.errors import ConfigurationError, DomainError
 from polariton.model import (
@@ -162,6 +163,88 @@ def test_spectrum_is_invariant_under_blocking(model, g, n_atoms, photon_cutoff, 
         v = dec.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(h.dim))) <= 1e-10
         assert np.max(np.abs(v.conj().T @ dense @ v - np.diag(dec.eigenvalues))) <= tol
+
+
+@pytest.mark.parametrize("model, g", [("jc-rwa", 0.02), ("dicke", 0.0)])
+def test_krylov_keeps_the_eigenvalues_of_other_blocks(monkeypatch, model, g):
+    # the ground energy 0 sits in a one-state block (the excitation-0 sector,
+    # or the vacuum at g = 0), which one Lanczos run over all of H can miss
+    from polariton import spectral
+
+    monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 64)
+    p = ModelParams(omega_a=1.0, omega_b=1.0, g=g, n_atoms=40)
+    h = BUILDERS[model](p, default_spec(model, p, 12))
+    assert h.dim == 533
+    reference = np.linalg.eigh(h.to_dense())[0][:6]
+    dec = eigendecompose(h, k=6, seed=1234)
+    assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-9 * h.frobenius_norm()
+
+
+def test_lanczos_keeps_a_nearly_null_vacuum(monkeypatch):
+    # at g = 1e-30 the vacuum shares its parity block with coupled states, but
+    # H maps it to nearly 0, and ARPACK's first step H v0 would erase it
+    from polariton import spectral
+
+    monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 2)
+    p = ModelParams(omega_a=1.0, omega_b=1.1, g=1e-30, n_atoms=1)
+    h = build_bilinear_hamiltonian(p, default_spec("bilinear", p, 6))
+    dec = eigendecompose(h, k=1, seed=1234)
+    assert (dec.blocks, dec.krylov_blocks) == (2, 2)
+    assert abs(dec.eigenvalues[0]) <= 1e-9 * h.frobenius_norm()
+
+
+def test_only_blocks_above_the_limit_go_to_lanczos(monkeypatch):
+    import scipy.sparse.linalg
+
+    from polariton import spectral
+
+    p = ModelParams(omega_a=1.0, omega_b=1.2, g=0.1, n_atoms=3)
+    h = BUILDERS["jc-rwa"](p, default_spec("jc-rwa", p, 5))
+    # excitation sectors of 1, 2, 3, 4, 4, 4, 3, 2 and 1 states
+    lanczos, densified = [], []
+    real_eigsh, real_dense = scipy.sparse.linalg.eigsh, HermitianOperator.to_dense
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "eigsh", lambda m, **kw: lanczos.append(m.shape) or real_eigsh(m, **kw)
+    )
+    monkeypatch.setattr(
+        HermitianOperator, "to_dense", lambda op: densified.append(op.dim) or real_dense(op)
+    )
+    monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 3)
+    dec = eigendecompose(h, 2, seed=1234)
+    assert lanczos == [(4, 4)] * 3
+    assert sorted(densified) == [1, 1, 2, 2, 3, 3]
+    assert (dec.blocks, dec.krylov_blocks) == (9, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(sorted(BUILDERS)),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    n_atoms=st.integers(1, 4),
+    photon_cutoff=st.integers(1, 6),
+    data=st.data(),
+)
+def test_krylov_blocks_match_a_whole_matrix_eigh(model, g, n_atoms, photon_cutoff, data):
+    from polariton import spectral
+
+    p = ModelParams(omega_a=1.0, omega_b=1.1, g=g, n_atoms=n_atoms)
+    assume(model != "bilinear" or p.bilinear_stable())
+    h = BUILDERS[model](p, default_spec(model, p, photon_cutoff))
+    k = data.draw(st.integers(1, h.dim), label="k")
+    dense = h.to_dense()
+    reference = np.linalg.eigh(dense)[0][:k]
+    sizes = np.bincount(connected_components(h.to_sparse(), directed=False)[1])
+    with pytest.MonkeyPatch.context() as mp:
+        # every block with room for Lanczos (k < size - 1) is served by it
+        mp.setattr(spectral, "DENSE_DIM_LIMIT", 2)
+        dec = eigendecompose(h, k, seed=1234)
+    tol = 1e-9 * h.frobenius_norm()
+    assert dec.count == k
+    assert (dec.blocks, dec.krylov_blocks) == (sizes.size, np.sum(np.minimum(k, sizes) < sizes - 1))
+    assert np.max(np.abs(dec.eigenvalues - reference)) <= tol
+    v = dec.eigenvectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(k))) <= 1e-10
+    assert np.max(np.abs(v.conj().T @ dense @ v - np.diag(dec.eigenvalues))) <= tol
 
 
 def test_ground_state_phase_is_deterministic():

@@ -6,9 +6,11 @@ Each case runs ``python -m polariton.cli`` from ``<checkout>/src`` as a
 subprocess with ``OPENBLAS_NUM_THREADS=1``, inside its own directory
 ``<out_dir>/<case>``.  That directory then holds the case's config, its
 result files under ``out/``, and ``exit_code.txt``, ``stdout.txt`` and
-``stderr.txt``.  All paths handed to the CLI are relative, so running the
-tool on two checkouts and comparing with ``diff -r`` shows whether a change
-kept every result file, exit code and message byte-identical.
+``stderr.txt``.  All paths handed to the CLI are relative, and the
+checkout's absolute path (which a Python warning prints with its source
+file) is recorded as ``<checkout>``, so running the tool on two checkouts and
+comparing with ``diff -r`` shows whether a change kept every result file,
+exit code and message byte-identical.
 """
 from __future__ import annotations
 
@@ -113,6 +115,20 @@ CASES = [
         "cavity": REFERENCE_CAVITY,
         "freq_grid": {"min": 1e300, "max": 1.7e308, "n": 5},
     }),
+    # dim 5213 in excitation sectors of at most 13 states: the one-state
+    # sector 0 holds the ground energy 0, which one Lanczos run over the whole
+    # operator misses
+    ("spectrum-jc-rwa-krylov", ["spectrum"], {
+        "model": "jc-rwa",
+        "params": {"g": 0.02, "n_atoms": 400},
+        "spectrum": {"n_eigenvalues": 6},
+    }),
+    # g = 0 at dim 4160: every basis state is its own block, ground energy 0
+    ("witness-krylov-uncoupled", ["witness"], {
+        "model": "bilinear",
+        "params": {"g": 0.0},
+        "hilbert": {"photon_cutoff": 63, "matter_dim": 65},
+    }),
 ]
 
 
@@ -126,7 +142,7 @@ def run_case(src: Path, case_dir: Path, argv, config) -> int:
     )
     (case_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
     (case_dir / "stdout.txt").write_text(proc.stdout)
-    (case_dir / "stderr.txt").write_text(proc.stderr)
+    (case_dir / "stderr.txt").write_text(proc.stderr.replace(str(src.parent), "<checkout>"))
     return proc.returncode
 
 
