@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -125,25 +124,25 @@ def _cell(v) -> str:
 
 
 def _write_csv(path: Path, table: dict) -> None:
-    """Write a {header: column} table with one % call over all its cells: a
-    float64 array column takes the number rule as its format, any other
-    column is read through tolist() and _cell.  A non-finite float is refused."""
-    formats, columns = [], []
+    """Write a {header: column} table: a float64 array column is laid out by
+    the number rule's kernel, any other column is read through tolist() and
+    _cell.  A non-finite float is refused before the file is opened."""
+    columns = []
     for column in table.values():
         if isinstance(column, np.ndarray) and column.dtype == np.float64:
             finite = np.isfinite(column).all()
-            formats.append(svg.NUMBER_FORMAT)
-            columns.append(column.tolist())
         else:
             values = column.tolist() if isinstance(column, np.ndarray) else column
             finite = all(math.isfinite(v) for v in values if isinstance(v, float))
-            formats.append("%s")
-            columns.append([_cell(v) for v in values])
+            column = svg._text_layout([_cell(v) for v in values])
         if not finite:
             raise NumericalError(f"{path.name} would hold a non-finite number")
-    rows = min(map(len, columns), default=0)
-    cells = tuple(chain.from_iterable(zip(*columns)))
-    path.write_text(",".join(table) + "\n" + (",".join(formats) + "\n") * rows % cells)
+        columns.append(column)
+    separators = b"," * (len(columns) - 1) + b"\n"
+    with path.open("wb") as out:
+        out.write((",".join(table) + "\n").encode())
+        for text in svg._rows(columns, separators, svg._number_layout):
+            out.write(text)
 
 
 # ------------------------------------------------------------ configuration

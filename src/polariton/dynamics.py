@@ -35,7 +35,7 @@ from .spectral import DEFAULT_SEED, eigendecompose, normal_modes
 
 EVOLVE_DT_FACTOR = 0.5   # require dt * max|eigenvalue| < 0.5
 NORM_DRIFT_TOL = 1e-9
-_CHUNK = 4096
+_CHUNK = 1024  # samples per superposition in rabi_flop_signal, bounding its complex temporaries
 
 
 def _check_dt(grid: TimeGrid, lambda_max: float) -> None:
@@ -51,7 +51,10 @@ def _superpose(rates, modes, coeffs, times):
     Modes with an exactly zero coefficient (another symmetry block than the
     initial state) are skipped."""
     live = coeffs != 0
-    return (np.exp(np.outer(times, rates[live])) * coeffs[live]) @ modes[:, live].T
+    phases = np.outer(times, rates[live])
+    np.exp(phases, out=phases)
+    phases *= coeffs[live]
+    return phases @ modes[:, live].T
 
 
 def evolve(

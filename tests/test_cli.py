@@ -672,6 +672,24 @@ def _assert_finite_json(obj):
         assert math.isfinite(obj)
 
 
+def _assert_only_finite_numbers(out):
+    """No CSV cell, JSON number, SVG coordinate or tick label under out
+    parses as non-finite."""
+    for path in out.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                _assert_finite_cell(cell)
+    for path in out.glob("*.json"):
+        _assert_finite_json(json.loads(path.read_text()))
+    for path in out.glob("*.svg"):
+        text = path.read_text()
+        for point in _polyline_points(text):
+            for coordinate in point.split(","):
+                _assert_finite_cell(coordinate)
+        for label in re.findall(r">([^<]*)</text>", text):
+            _assert_finite_cell(label)
+
+
 _CAVITY_FUZZ = st.fixed_dictionaries({
     key: st.one_of(st.just(value), values)
     for (key, value), values in zip(_cavity_block().items(), [
@@ -703,16 +721,142 @@ def test_classical_config_fuzz_exits_cleanly_and_writes_only_finite_numbers(cavi
         # an exception escaping main() is the traceback a user would see
         code = main(["classical", "--config", cfg, "--format", "csv,json,svg", "--out", str(out)])
         assert code in (0, 1, 2)
-        for path in out.glob("*.csv"):
-            for line in path.read_text().splitlines()[1:]:
-                for cell in line.split(","):
-                    _assert_finite_cell(cell)
-        for path in out.glob("*.json"):
-            _assert_finite_json(json.loads(path.read_text()))
-        for path in out.glob("*.svg"):
-            text = path.read_text()
-            for point in _polyline_points(text):
-                for coordinate in point.split(","):
-                    _assert_finite_cell(coordinate)
-            for label in re.findall(r">([^<]*)</text>", text):
-                _assert_finite_cell(label)
+        _assert_only_finite_numbers(out)
+
+
+# either sign over 1e-300..1e300, or zero
+_EXTREME = st.one_of(_log_floats(-300, 300), _log_floats(-300, 300).map(lambda x: -x), st.just(0.0))
+
+
+def _default_typical_or_extreme(default, lo, hi, extreme=_EXTREME):
+    return st.one_of(st.just(default), st.floats(lo, hi), extreme)
+
+
+_DYNAMICS_FUZZ = st.fixed_dictionaries({
+    "model": st.sampled_from(["bilinear", "dicke", "jc-rwa", "semiclassical"]),
+    "params": st.fixed_dictionaries({
+        "omega_a": _default_typical_or_extreme(1.0, 0.1, 10.0, _log_floats(-300, 300)),
+        "omega_b": _default_typical_or_extreme(1.0, 0.1, 10.0, _log_floats(-300, 300)),
+        "g": _default_typical_or_extreme(0.2, 0.0, 0.6),
+        "n_atoms": st.integers(1, 16),
+    }),
+    "grid": st.fixed_dictionaries(
+        {"n_samples": st.one_of(st.integers(16, 4096), st.integers(0, 15))},
+        optional={"dt": st.one_of(st.floats(1e-3, 0.05), _log_floats(-300, 300))},
+    ),
+    "initial": st.fixed_dictionaries({}, optional={
+        key: _default_typical_or_extreme(0.0, -2.0, 2.0) for key in ("a_re", "a_im", "b_re", "b_im")
+    }),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["rabi-flop", "semiclassical", "vacuum-correlation"]),
+    config=_DYNAMICS_FUZZ,
+)
+def test_dynamics_config_fuzz_exits_cleanly_and_writes_only_finite_numbers(kind, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = _write_config(tmp / "cfg.json", config)
+        out = tmp / "out"
+        # an exception escaping main() is the traceback a user would see
+        argv = ["dynamics", kind, "--config", cfg, "--format", "csv,json,svg", "--out", str(out)]
+        code = main(argv)
+        assert code in (0, 1, 2)
+        _assert_only_finite_numbers(out)
+
+
+def _kernel_text(layout, values):
+    """The kernel's text of each value, one per line."""
+    from polariton import svg
+
+    text = b"".join(svg._rows([np.asarray(values, dtype=float)], b"\n", layout)).decode()
+    return text.splitlines()
+
+
+def _near_ties(mantissas, exponents):
+    """The doubles nearest (m + 1/2) 10**(e - 11) and their neighbours one ulp
+    either side: the values whose 12th digit a product rounding could move.
+    A tie above the largest double is left out."""
+    ties = [float(f"{m}5e{e - 12}") for m, e in zip(mantissas, exponents)]
+    ties = [x for x in ties if x < np.finfo(float).max]
+    return [y for x in ties for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+).filter(math.isfinite)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(_BIT_PATTERNS, min_size=1, max_size=64),
+    mantissas=st.lists(st.integers(10**11, 10**12 - 1), min_size=8, max_size=8),
+    exponents=st.lists(st.integers(-307, 308), min_size=8, max_size=8),
+    subnormal_bits=st.lists(st.integers(1, 2**52 - 1), min_size=1, max_size=8),
+)
+def test_number_kernel_writes_what_percent_writes(values, mantissas, exponents, subnormal_bits):
+    from polariton import svg
+
+    subnormals = np.array(subnormal_bits, dtype=np.uint64).view(np.float64).tolist()
+    values = values + _near_ties(mantissas, exponents) + subnormals + [-v for v in subnormals]
+    assert _kernel_text(svg._number_layout, values) == [svg.NUMBER_FORMAT % v for v in values]
+
+
+def test_number_kernel_writes_what_percent_writes_at_powers_of_ten():
+    from polariton import svg
+
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    values = [y for x in powers for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+    values += [0.0, -0.0, 999999999999.5, 99999999999.95, 0.00009999999999995, np.finfo(float).max]
+    values += [-v for v in values]
+    assert _kernel_text(svg._number_layout, values) == [svg.NUMBER_FORMAT % v for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.floats(0.0, 720.0), min_size=1, max_size=64),
+    steps=st.lists(st.integers(0, 144000), min_size=1, max_size=64),
+)
+def test_point_kernel_writes_what_percent_writes(values, steps):
+    from polariton import svg
+
+    exact = [k / 200 for k in steps]  # x.xx5 and x.xx0: the ties of two decimals
+    values = values + [y for x in exact for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+    # signed values, then values that need more than seven integer digits
+    values += [-0.0, -0.001, -1.0, 9999999.995, 12345678.91, 3e7, 1e300]
+    assert _kernel_text(svg._point_layout, values) == [svg.POINT_FORMAT % v for v in values]
+
+
+def test_block_edges_write_what_the_per_cell_rule_writes(tmp_path):
+    from polariton import svg
+    from polariton.cli import _write_csv
+
+    block = svg.BLOCK_ROWS
+    tie = float("1234567890125e-12")  # a near-tie that the kernel leaves to %
+    for rows in (block - 1, block, block + 1):
+        values = np.linspace(-3.0, 5.0, rows)
+        for i in (0, block - 1, block, rows - 1):
+            if i < rows:
+                values[i] = tie if i % 2 else 0.0
+        labels = ["split" if i % 3 else "" for i in range(rows)]
+        table = {"x [1]": values, "flag": labels, "y [1]": values[::-1].copy()}
+        _write_csv(tmp_path / "t.csv", table)
+        expected = ["x [1],flag,y [1]"] + [
+            f"{x:.12g},{label},{y:.12g}" for x, label, y in zip(values, labels, values[::-1])
+        ]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+        chart = svg.line_chart(values, values ** 2)
+        xs = svg._scale(values, values.min(), values.max(),
+                        svg.MARGIN_LEFT, svg.WIDTH - svg.MARGIN_RIGHT)
+        ys = svg._scale(values ** 2, (values ** 2).min(), (values ** 2).max(),
+                        svg.HEIGHT - svg.MARGIN_BOTTOM, svg.MARGIN_TOP)
+        assert _polyline_points(chart) == [f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)]
+
+
+def test_text_cells_refuse_a_nul():
+    from polariton import svg
+
+    with pytest.raises(ValueError, match="NUL"):
+        svg._text_layout(["ok", "a\0b"])

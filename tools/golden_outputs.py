@@ -6,9 +6,10 @@ Each case runs ``python -m polariton.cli`` from ``<checkout>/src`` as a
 subprocess with ``OPENBLAS_NUM_THREADS=1``, inside its own directory
 ``<out_dir>/<case>``.  That directory then holds the case's config, its
 result files under ``out/``, and ``exit_code.txt``, ``stdout.txt`` and
-``stderr.txt``.  All paths handed to the CLI are relative, and the
-checkout's absolute path (which a Python warning prints with its source
-file) is recorded as ``<checkout>``, so running the tool on two checkouts and
+``stderr.txt``.  All paths handed to the CLI are relative.  A Python warning
+prints its source file and line; the checkout's absolute path is recorded as
+``<checkout>`` and the line number as ``<line>``, so an edit that moves the
+warning's call site does not show.  Running the tool on two checkouts and
 comparing with ``diff -r`` shows whether a change kept every result file,
 exit code and message byte-identical.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,7 +144,8 @@ def run_case(src: Path, case_dir: Path, argv, config) -> int:
     )
     (case_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
     (case_dir / "stdout.txt").write_text(proc.stdout)
-    (case_dir / "stderr.txt").write_text(proc.stderr.replace(str(src.parent), "<checkout>"))
+    stderr = proc.stderr.replace(str(src.parent), "<checkout>")
+    (case_dir / "stderr.txt").write_text(re.sub(r"(<checkout>/\S+\.py):\d+:", r"\1:<line>:", stderr))
     return proc.returncode
 
 
