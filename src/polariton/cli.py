@@ -633,10 +633,7 @@ def cmd_classical(cfg: RunConfig, args) -> int:
     if cfg.cavity is None:
         raise ConfigurationError("classical runs need a cavity block in the config")
     name, points = _sweep_points(cfg, classical=True)
-    try:
-        results = [_classical_point(cfg, cavity) for _, cavity in points]
-    except ArithmeticError as exc:  # the cavity formulas' Python floats overflowed or hit 0
-        raise NumericalError(f"cavity arithmetic out of range ({exc})") from None
+    results = [_classical_point(cfg, cavity) for _, cavity in points]
     _emit_points(cfg, "classical", bool(name), results)
     if name:
         _emit_summary(cfg, "classical", name, points, results,
@@ -877,6 +874,9 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # a Python float formula overflowed or divided by 0
+        print(f"numerical failure: arithmetic out of range ({exc})", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"numerical failure: out of memory ({exc})", file=sys.stderr)

@@ -586,6 +586,22 @@ def test_non_finite_classical_results_exit_two(tmp_path, capsys, cavity, freq_gr
     assert not list(out.glob("*"))
 
 
+def test_mean_field_overflow_exits_two(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", {"params": {"g": 0.1}, "initial": {"a_re": 1e300}})
+    out = tmp_path / "out"
+    assert main(["dynamics", "semiclassical", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "overflow" in err and "1e+300" in err
+    assert not list(out.glob("*"))
+
+
+def test_float_overflow_outside_classical_exits_two(tmp_path, capsys):
+    # the bilinear normal-mode form squares omega_a, a Python float
+    cfg = _write_config(tmp_path / "cfg.json", {"params": {"omega_a": 1e155}})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "arithmetic out of range" in capsys.readouterr().err
+
+
 def test_writers_refuse_non_finite_numbers(tmp_path):
     from polariton import svg
     from polariton.cli import _write_csv
@@ -763,6 +779,48 @@ def test_dynamics_config_fuzz_exits_cleanly_and_writes_only_finite_numbers(kind,
         # an exception escaping main() is the traceback a user would see
         argv = ["dynamics", kind, "--config", cfg, "--format", "csv,json,svg", "--out", str(out)]
         code = main(argv)
+        assert code in (0, 1, 2)
+        _assert_only_finite_numbers(out)
+
+
+_SWEEP_FUZZ = st.one_of(
+    st.fixed_dictionaries({
+        "name": st.sampled_from(["g", "omega_a", "omega_b"]),
+        "values": st.lists(_default_typical_or_extreme(0.2, 0.0, 2.0), min_size=1, max_size=3),
+    }),
+    st.fixed_dictionaries({
+        "name": st.just("n_atoms"),
+        "values": st.lists(st.one_of(st.integers(0, 8), st.floats(0.0, 8.0)), min_size=1, max_size=3),
+    }),
+)
+# a cutoff of at most 12 and n_atoms of at most 8 keep every operator below
+# dim 300, so no example allocates more than a few MB
+_QUANTUM_FUZZ = st.fixed_dictionaries({
+    "model": st.sampled_from(["bilinear", "dicke", "jc-rwa", "semiclassical"]),
+    "params": st.fixed_dictionaries({
+        "omega_a": _default_typical_or_extreme(1.0, 0.1, 10.0),
+        "omega_b": _default_typical_or_extreme(1.0, 0.1, 10.0),
+        "g": _default_typical_or_extreme(0.2, 0.0, 0.6),
+        "n_atoms": st.integers(0, 8),
+    }),
+}, optional={
+    "hilbert": st.fixed_dictionaries({}, optional={
+        "photon_cutoff": st.integers(0, 12), "matter_dim": st.integers(0, 13),
+    }),
+    "spectrum": st.fixed_dictionaries({"n_eigenvalues": st.integers(0, 200)}),
+    "sweep": _SWEEP_FUZZ,
+})
+
+
+@settings(max_examples=80, deadline=None)
+@given(verb=st.sampled_from(["spectrum", "witness"]), config=_QUANTUM_FUZZ)
+def test_spectrum_and_witness_config_fuzz_exits_cleanly_and_writes_only_finite_numbers(verb, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = _write_config(tmp / "cfg.json", config)
+        out = tmp / "out"
+        # an exception escaping main() is the traceback a user would see
+        code = main([verb, "--config", cfg, "--format", "csv,json,svg", "--out", str(out)])
         assert code in (0, 1, 2)
         _assert_only_finite_numbers(out)
 

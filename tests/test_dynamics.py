@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polariton.dynamics import (
+    _CHUNK,
+    _superpose,
     evolve,
     flop_spectrum,
     rabi_flop_signal,
@@ -15,13 +17,15 @@ from polariton.dynamics import (
 )
 from polariton.errors import ConfigurationError, NumericalError
 from polariton.model import (
+    BUILDERS,
     HilbertSpec,
     ModelParams,
     StateVector,
     build_bilinear_hamiltonian,
+    default_spec,
 )
 from polariton.series import TimeGrid, Trajectory
-from polariton.spectral import normal_modes
+from polariton.spectral import eigendecompose, normal_modes
 
 PARAMS = ModelParams.from_collective(1.0, 1.0, 0.2)
 
@@ -84,6 +88,31 @@ def test_jc_flop_is_an_exact_cosine():
     rabi = 2.0 * 0.05 * math.sqrt(4)
     expected = np.cos(0.5 * rabi * traj.times) ** 2
     assert np.allclose(signal, expected, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(sorted(BUILDERS)),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    n_atoms=st.integers(1, 4),
+    cutoff=st.integers(1, 6),
+    n_samples=st.sampled_from([2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 37]),
+    step=st.floats(0.05, 0.99),
+)
+def test_flop_signal_matches_the_per_sample_superposition(model, g, n_atoms, cutoff, n_samples, step):
+    params = ModelParams(omega_a=1.0, omega_b=1.0, g=g, n_atoms=n_atoms)
+    assume(model != "bilinear" or params.bilinear_stable())
+    spec = default_spec(model, params, cutoff)
+    dec = eigendecompose(BUILDERS[model](params, spec), seed=1234)
+    grid = TimeGrid(n_samples, step * 0.5 / float(np.max(np.abs(dec.eigenvalues))))
+    traj = rabi_flop_signal(params, grid, model=model, spec=spec, seed=1234)
+    # the reference: every state psi(t_j) in full, then its weighted norm
+    coeffs = dec.eigenvectors.conj().T @ StateVector.product_fock(spec, 0, 1).amplitudes
+    states = _superpose(-1j * dec.eigenvalues, dec.eigenvectors, coeffs, grid.times)
+    weights = np.tile(np.arange(spec.matter_dim, dtype=float), spec.photon_dim)
+    expected = (np.abs(states) ** 2) @ weights
+    gap = np.max(np.abs(traj.channels["matter_excitation"] - expected))
+    assert gap <= 1e-12 * max(1, spec.matter_dim)
 
 
 def test_flop_spectrum_peak_for_jc():
@@ -206,6 +235,14 @@ def test_mean_field_refuses_energy_drift(monkeypatch):
         )
         with pytest.raises(NumericalError):
             semiclassical_trajectory(PARAMS, 0.1, 0.0, TimeGrid(100, 0.05))
+
+
+def test_mean_field_overflow_names_its_inputs():
+    # |a|^2 = 1e600 overflows the energy while the amplitudes stay finite
+    params = ModelParams(omega_a=1.0, omega_b=1.0, g=0.1, n_atoms=1)
+    with pytest.raises(NumericalError, match=r"overflows: a0 = 1e\+300, b0 = 0, omega_a = 1, "
+                                             r"omega_b = 1, lambda = 0\.1$"):
+        semiclassical_trajectory(params, 1e300, 0, TimeGrid(100, 0.01))
 
 
 def test_vacuum_correlation_shows_both_polaritons():

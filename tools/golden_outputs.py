@@ -89,6 +89,16 @@ CASES = [
     ("rabi-flop-partial-grid", ["dynamics", "rabi-flop", *ALL_FORMATS], {
         "grid": {"n_samples": 1024},
     }),
+    # one full block of the flop signal and a partial one of 476 samples
+    ("rabi-flop-ragged-grid", ["dynamics", "rabi-flop", *ALL_FORMATS], {
+        "model": "bilinear",
+        "grid": {"n_samples": 1500},
+    }),
+    # fewer samples than one block
+    ("rabi-flop-short-grid", ["dynamics", "rabi-flop", *ALL_FORMATS], {
+        "model": "dicke",
+        "grid": {"n_samples": 700},
+    }),
     ("spectrum-dicke-non-integral-n-atoms", ["spectrum"], {
         "model": "dicke",
         "params": {"n_atoms": 2.5},
