@@ -32,7 +32,6 @@ VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m
 HBAR = 6.62607015e-34 / (2 * math.pi)  # J s
 
 PROMINENCE_FLOOR = 0.01  # fraction of the global maximum
-RESONANT_TUNING_TOL = 1e-6  # fractional detuning of omega_b from a cavity mode
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,9 @@ class CavityParams:
     dipole_moment: transition dipole moment d [C m]
     omega_b: dipole resonance [rad/s]
     gamma: damping rate [rad/s]
-    eps0: vacuum permittivity (the physical constant; overridable only for
-          unit-reduced checks)
+
+    c, hbar and eps0 are the fixed CODATA 2022 constants SPEED_OF_LIGHT, HBAR
+    and VACUUM_PERMITTIVITY, not fields.
     """
 
     length: float
@@ -59,7 +59,6 @@ class CavityParams:
     dipole_moment: float
     omega_b: float
     gamma: float
-    eps0: float = VACUUM_PERMITTIVITY
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in astuple(self)):
@@ -80,8 +79,6 @@ class CavityParams:
             raise DomainError("dipole resonance must be positive")
         if self.gamma < 0.0:
             raise DomainError("damping must be non-negative")
-        if not (self.eps0 > 0.0):
-            raise DomainError("eps0 must be positive")
 
     @property
     def mode_volume(self) -> float:
@@ -108,7 +105,6 @@ class CavityParams:
         dipole_moment,
         gamma,
         background_index=1.0,
-        eps0=VACUUM_PERMITTIVITY,
     ):
         """Cavity whose mode_index-th longitudinal mode sits exactly at the
         dipole resonance."""
@@ -124,7 +120,6 @@ class CavityParams:
             dipole_moment=dipole_moment,
             omega_b=omega_b,
             gamma=gamma,
-            eps0=eps0,
         )
 
 
@@ -160,7 +155,7 @@ def oscillator_strength(cavity: CavityParams) -> float:
         cavity.n_dipoles
         * cavity.dipole_moment**2
         * cavity.omega_b
-        / (HBAR * cavity.eps0 * cavity.mode_volume)
+        / (HBAR * VACUUM_PERMITTIVITY * cavity.mode_volume)
     )
 
 
@@ -278,7 +273,7 @@ def predicted_splitting(cavity: CavityParams) -> float:
     """Closed-form peak separation d sqrt(N omega_b / (hbar eps0 A L_c)),
     the weak-damping high-finesse limit of the transmission splitting."""
     return cavity.dipole_moment * math.sqrt(
-        cavity.n_dipoles * cavity.omega_b / (HBAR * cavity.eps0 * cavity.mode_volume)
+        cavity.n_dipoles * cavity.omega_b / (HBAR * VACUUM_PERMITTIVITY * cavity.mode_volume)
     )
 
 
@@ -302,25 +297,23 @@ def default_grid(cavity: CavityParams, n_points: int) -> np.ndarray:
     return _probe_grid(cavity.omega_b, span, int(n_points))
 
 
-def matched_coupling(cavity: CavityParams, omega_a: float | None = None) -> float:
-    """Collective coupling lambda of the quantum model that corresponds to
-    this cavity: (d/2) sqrt(N wb / (hbar eps0 A L_c wa)) * sqrt(wa).
+def matched_coupling(cavity: CavityParams) -> float:
+    """Collective coupling lambda of the resonant quantum model (cavity
+    frequency wa = wb) that corresponds to this cavity:
+    (d/2) sqrt(N wb / (hbar eps0 A L_c wa)) * sqrt(wa).
 
-    The cavity frequency cancels; the matched lambda is half the predicted
-    peak separation."""
-    if omega_a is None:
-        omega_a = cavity.omega_b
-    if not (omega_a > 0.0):
-        raise DomainError("omega_a must be positive")
+    wa cancels, so the matched lambda is half the predicted peak separation;
+    it stays in the expression because the shorter form rounds differently
+    in the last bit for about half of all cavities."""
     return (
         0.5
         * cavity.dipole_moment
         * math.sqrt(
             cavity.n_dipoles
             * cavity.omega_b
-            / (HBAR * cavity.eps0 * cavity.mode_volume * omega_a)
+            / (HBAR * VACUUM_PERMITTIVITY * cavity.mode_volume * cavity.omega_b)
         )
-        * math.sqrt(omega_a)
+        * math.sqrt(cavity.omega_b)
     )
 
 

@@ -283,6 +283,8 @@ def _parse_config(args) -> RunConfig:
     seed = blocks.get("seed", DEFAULT_SEED)
     if getattr(args, "seed", None) is not None:
         seed = args.seed
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
 
     sweep = None
     if "sweep" in blocks:
@@ -320,7 +322,11 @@ def _parse_config(args) -> RunConfig:
     bad = set(overrides) - set(tolerances)
     if bad:
         raise ConfigurationError(f"unknown verify tolerances: {sorted(bad)}")
-    tolerances.update({k: _read(float, v, f"verify.tolerances.{k}") for k, v in overrides.items()})
+    for key, value in overrides.items():
+        where = f"verify.tolerances.{key}"
+        tolerances[key] = _read(float, value, where)
+        if not (math.isfinite(tolerances[key]) and tolerances[key] >= 0.0):
+            raise ConfigurationError(f"{where} must be finite and >= 0, got {value!r}")
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -471,8 +477,7 @@ def _witness_point(cfg, params) -> Result:
     if not (gap <= tol):
         raise NumericalError(
             f"Fock and Gaussian entropies differ by {gap:.3e} > {tol:.0e} at "
-            f"g = {params.g:.12g}: photon_cutoff {spec.photon_cutoff} has not converged",
-            residual=gap,
+            f"g = {params.g:.12g}: photon_cutoff {spec.photon_cutoff} has not converged"
         )
     return Result({
         "omega_a": params.omega_a,
@@ -590,8 +595,6 @@ def cmd_dynamics(cfg: RunConfig, args) -> int:
     kind = args.kind
     if cfg.sweep is not None:
         raise ConfigurationError("dynamics does not support sweeps")
-    if kind not in _DYNAMICS:
-        raise ConfigurationError(f"unknown dynamics kind '{kind}'")
     result, message = _DYNAMICS[kind](cfg, cfg.params)
     _emit(cfg, kind.replace("-", "_"), result)
     print(f"dynamics {kind}: {message}")
@@ -652,11 +655,12 @@ def reference_cavity(
     coupling_fraction: float = 0.1,
     finesse: float = 300.0,
     gamma_fraction: float = 0.0025,
-    omega_b: float = 2.4e15,
-    area: float = 1e-12,
 ) -> CavityParams:
-    """SI cavity tuned to its first longitudinal mode with the dipole moment
-    solved so the predicted peak separation is coupling_fraction * omega_b."""
+    """SI cavity with dipole resonance omega_b = 2.4e15 rad/s and mode
+    cross-section 1e-12 m^2, tuned to its first longitudinal mode, with the
+    dipole moment solved so the predicted peak separation is
+    coupling_fraction * omega_b."""
+    omega_b, area = 2.4e15, 1e-12
     length = math.pi * SPEED_OF_LIGHT / omega_b
     target = coupling_fraction * omega_b
     dipole = target / math.sqrt(n_dipoles * omega_b / (HBAR * VACUUM_PERMITTIVITY * area * length))
@@ -842,9 +846,7 @@ def _build_parser() -> _Parser:
     wp.set_defaults(handler=cmd_witness)
 
     dp = subs.add_parser("dynamics", help="time evolution and spectra")
-    dp.add_argument(
-        "kind", choices=("rabi-flop", "semiclassical", "vacuum-correlation")
-    )
+    dp.add_argument("kind", choices=tuple(_DYNAMICS))
     _add_common(dp)
     dp.set_defaults(handler=cmd_dynamics)
 

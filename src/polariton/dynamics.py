@@ -196,9 +196,7 @@ def semiclassical_trajectory(
     drift = float(np.max(np.abs(energy - energy[0])))
     tol = NORM_DRIFT_TOL * max(1.0, float(np.max(free)))
     if not (drift <= tol):
-        raise NumericalError(
-            f"mean-field energy drift {drift:.3e} exceeds {tol:.3e}", residual=drift
-        )
+        raise NumericalError(f"mean-field energy drift {drift:.3e} exceeds {tol:.3e}")
     return Trajectory(times=grid.times, channels={"a": a, "b": b, "energy": energy})
 
 

@@ -19,7 +19,3 @@ class DomainError(PolaritonError):
 
 class NumericalError(PolaritonError):
     """A computation finished but failed its accuracy contract."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

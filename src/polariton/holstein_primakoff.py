@@ -148,11 +148,10 @@ def dicke_vs_bilinear_gap(
     params: ModelParams,
     n_values,
     *,
-    photon_cutoff: int = 8,
     seed: int = DEFAULT_SEED,
 ) -> GapComparison:
-    """Compare first excitation gaps of the finite-N ladder model and the
-    bilinear model at matched collective coupling.
+    """Compare first excitation gaps of the finite-N ladder model, at photon
+    cutoff 8, and the bilinear model at matched collective coupling.
 
     params supplies the frequencies and the fixed lambda = g sqrt(N); each
     sweep point N rebuilds the ladder model with g_N = lambda / sqrt(N).  The
@@ -171,7 +170,7 @@ def dicke_vs_bilinear_gap(
         dparams = ModelParams.from_collective(
             params.omega_a, params.omega_b, lam, n_atoms=n
         )
-        dspec = default_spec("dicke", dparams, photon_cutoff)
+        dspec = default_spec("dicke", dparams, 8)
         ddec = eigendecompose(build_dicke_hamiltonian(dparams, dspec), 2, seed=seed)
         gap = float(ddec.eigenvalues[1] - ddec.eigenvalues[0])
         gaps.append(gap)

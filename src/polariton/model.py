@@ -180,10 +180,6 @@ class HermitianOperator:
             vals[diag] = vals[diag].real
         return cls(dim, rows, cols, vals)
 
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
     def to_dense(self) -> np.ndarray:
         dtype = complex if np.iscomplexobj(self.values) else float
         out = np.zeros((self.dim, self.dim), dtype=dtype)
@@ -385,7 +381,6 @@ def expectation(op: HermitianOperator, state: StateVector) -> float:
     value = complex(np.vdot(psi, op.to_sparse() @ psi))
     if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
         raise NumericalError(
-            f"expectation value has imaginary residue {value.imag:.3e}",
-            residual=abs(value.imag),
+            f"expectation value has imaginary residue {value.imag:.3e}"
         )
     return float(value.real)

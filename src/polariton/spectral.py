@@ -64,15 +64,12 @@ def _validate_decomposition(scale, matrix, values, vectors):
     worst = float(resid.max()) if resid.size else 0.0
     if not (worst <= RESIDUAL_TOL * scale):
         raise NumericalError(
-            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} * |H|",
-            residual=worst,
+            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} * |H|"
         )
     gram = vectors.conj().T @ vectors
     ortho = float(np.max(np.abs(gram - np.eye(values.size))))
     if not (ortho <= ORTHONORMALITY_TOL):
-        raise NumericalError(
-            f"eigenvector orthonormality defect {ortho:.3e}", residual=ortho
-        )
+        raise NumericalError(f"eigenvector orthonormality defect {ortho:.3e}")
 
 
 def _lanczos(matrix, k: int, seed: int):
@@ -99,8 +96,7 @@ def _lanczos(matrix, k: int, seed: int):
         got = np.asarray(exc.eigenvalues)
         raise NumericalError(
             f"Krylov iteration did not converge within {KRYLOV_MAXITER} "
-            f"iterations ({got.size}/{k} pairs found)",
-            residual=float("nan"),
+            f"iterations ({got.size}/{k} pairs found)"
         ) from exc
     order = np.argsort(values)
     return values[order] - shift, vectors[:, order]
@@ -282,10 +278,6 @@ def cutoff_convergence(
     cutoffs.  The bilinear matter block grows with the cutoff as well; the
     spin models keep their fixed matter ladder.  Observable is
     "ground_energy" or "first_gap"."""
-    if builder not in BUILDERS:
-        raise ConfigurationError(
-            f"unknown builder '{builder}', expected one of {sorted(BUILDERS)}"
-        )
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) < 2:
         raise ConfigurationError("need at least two cutoffs to report deltas")
@@ -297,8 +289,8 @@ def cutoff_convergence(
     k = 1 if observable == "ground_energy" else 2
     values = []
     for cutoff in cutoffs:
-        h = BUILDERS[builder](params, default_spec(builder, params, cutoff))
-        dec = eigendecompose(h, k, seed=seed)
+        spec = default_spec(builder, params, cutoff)  # refuses an unknown builder
+        dec = eigendecompose(BUILDERS[builder](params, spec), k, seed=seed)
         if observable == "ground_energy":
             values.append(float(dec.eigenvalues[0]))
         else:
@@ -309,9 +301,7 @@ def cutoff_convergence(
     )
 
 
-def jc_polariton_splitting(
-    params: ModelParams, *, photon_cutoff: int = 1, seed: int = DEFAULT_SEED
-) -> float:
+def jc_polariton_splitting(params: ModelParams, *, seed: int = DEFAULT_SEED) -> float:
     """Separation of the two single-excitation eigenvalues of the
     rotating-wave model; equals 2 g sqrt(N) on resonance."""
     if params.collective_coupling >= min(params.omega_a, params.omega_b):
@@ -319,6 +309,7 @@ def jc_polariton_splitting(
             "single-excitation branches are no longer the lowest excited "
             "states at this coupling"
         )
-    h = build_jc_rwa_hamiltonian(params, default_spec("jc-rwa", params, photon_cutoff))
+    # photon cutoff 1 holds the whole one-excitation sector
+    h = build_jc_rwa_hamiltonian(params, default_spec("jc-rwa", params, 1))
     dec = eigendecompose(h, 3, seed=seed)
     return float(dec.eigenvalues[2] - dec.eigenvalues[1])

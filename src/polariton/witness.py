@@ -45,12 +45,11 @@ class WitnessVerdict:
 
     value is the measured mean energy, separable_floor the bound it is
     compared against (zero on resonance), and verdict either "entangled"
-    or "inconclusive"."""
+    (value below -WITNESS_TOL) or "inconclusive"."""
 
     value: float
     separable_floor: float
     verdict: str
-    tolerance: float = WITNESS_TOL
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,6 @@ def witness_evaluate(
     h: HermitianOperator,
     state: StateVector,
     params: ModelParams,
-    *,
-    tol: float = WITNESS_TOL,
 ) -> WitnessVerdict:
     """Mean energy of the state against the separable floor of zero.
 
@@ -158,8 +155,8 @@ def witness_evaluate(
     _require_resonance(params, "the separable energy floor")
     params.require_bilinear_stable()
     value = expectation(h, state)
-    verdict = "entangled" if value < -tol else "inconclusive"
-    return WitnessVerdict(value=value, separable_floor=0.0, verdict=verdict, tolerance=tol)
+    verdict = "entangled" if value < -WITNESS_TOL else "inconclusive"
+    return WitnessVerdict(value=value, separable_floor=0.0, verdict=verdict)
 
 
 def separable_bound_scan(

@@ -1,4 +1,5 @@
 """End-to-end runs of the command line verbs."""
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polariton
-from polariton.cli import main, reference_cavity
+from polariton.classical import CavityParams
+from polariton.cli import _BLOCK_KEYS, main, reference_cavity
+from polariton.model import HilbertSpec, ModelParams
+from polariton.series import TimeGrid
 
 SRC = Path(polariton.__file__).resolve().parents[1]
 
@@ -309,6 +313,38 @@ def test_configuration_errors_exit_one(tmp_path, capsys):
     # a truncation too large to allocate is a numerical failure, not a traceback
     huge = _write_config(tmp_path / "huge.json", {"hilbert": {"photon_cutoff": 1e9}})
     assert main(["spectrum", "--config", huge, "--out", str(tmp_path / "h")]) == 2
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"seed": -1}, []),
+    ({}, ["--seed", "-1"]),
+])
+def test_negative_seed_exits_one(tmp_path, capsys, config, flags):
+    # 1313 states in two parity blocks of over 512: the Lanczos path reads the seed
+    config = {"model": "dicke", "params": {"g": 0.02, "n_atoms": 100}, **config}
+    path = _write_config(tmp_path / "seed.json", config)
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path / "o"), *flags]) == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("verb", ["witness", "verify"])
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+def test_bad_verify_tolerance_exits_one(tmp_path, capsys, verb, value):
+    config = {"verify": {"tolerances": {"cross_route_entropy": value}}}
+    path = _write_config(tmp_path / "tol.json", config)
+    assert main([verb, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "verify.tolerances.cross_route_entropy must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("block, cls", [
+    ("params", ModelParams), ("hilbert", HilbertSpec), ("cavity", CavityParams), ("grid", TimeGrid),
+])
+def test_config_blocks_match_the_dataclasses_they_fill(block, cls):
+    # each field can be set from the config, and read as the type it declares
+    keys = {key: kind.__name__ for key, kind in _BLOCK_KEYS[block].items()}
+    assert keys == {field.name: field.type for field in dataclasses.fields(cls)}
 
 
 @pytest.mark.parametrize("config", [

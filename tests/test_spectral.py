@@ -287,6 +287,11 @@ def test_cutoff_ladder_on_first_gap():
     assert abs(report.values[-1] - OMEGA_MINUS) < 1e-9
 
 
+def test_cutoff_ladder_refuses_an_unknown_builder():
+    with pytest.raises(ConfigurationError, match="unknown model 'tight-binding'"):
+        cutoff_convergence("tight-binding", ModelParams(1.0, 1.0, 0.2, 1), (4, 6))
+
+
 def test_jc_splitting_is_two_g_root_n():
     for n in (1, 4, 9):
         p = ModelParams(omega_a=1.0, omega_b=1.0, g=0.05, n_atoms=n)

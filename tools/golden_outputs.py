@@ -141,6 +141,16 @@ CASES = [
         "params": {"g": 0.0},
         "hilbert": {"photon_cutoff": 63, "matter_dim": 65},
     }),
+    # refused before any work: the Lanczos path of this Dicke spectrum would
+    # hand the seed to numpy, which takes no negative one
+    ("spectrum-negative-seed", ["spectrum"], {
+        "model": "dicke",
+        "params": {"g": 0.02, "n_atoms": 100},
+        "seed": -1,
+    }),
+    ("verify-nan-tolerance", ["verify"], {
+        "verify": {"tolerances": {"cross_route_entropy": float("nan")}},
+    }),
 ]
 
 
