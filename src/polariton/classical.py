@@ -98,23 +98,18 @@ class CavityParams:
         cls,
         omega_b,
         *,
-        mode_index=1,
         reflectivity,
         area,
         n_dipoles,
         dipole_moment,
         gamma,
-        background_index=1.0,
     ):
-        """Cavity whose mode_index-th longitudinal mode sits exactly at the
-        dipole resonance."""
-        if int(mode_index) != mode_index or mode_index < 1:
-            raise ConfigurationError(f"mode_index must be a positive integer")
-        length = mode_index * math.pi * SPEED_OF_LIGHT / (background_index * omega_b)
+        """Empty-host cavity (background index 1) whose first longitudinal
+        mode sits exactly at the dipole resonance."""
         return cls(
-            length=length,
+            length=math.pi * SPEED_OF_LIGHT / omega_b,
             reflectivity=reflectivity,
-            background_index=background_index,
+            background_index=1.0,
             area=area,
             n_dipoles=n_dipoles,
             dipole_moment=dipole_moment,

@@ -182,7 +182,13 @@ def semiclassical_trajectory(
     generator = np.array([[0, wa, 0, 0], [-wa, 0, -c, 0], [0, 0, 0, wb], [-c, 0, -wb, 0]])
     rates, modes = np.linalg.eig(generator)
     _check_dt(grid, float(np.max(np.abs(rates))))
-    coeffs = np.linalg.solve(modes, [a0.real, a0.imag, b0.real, b0.imag])
+    try:
+        coeffs = np.linalg.solve(modes, [a0.real, a0.imag, b0.real, b0.imag])
+    except np.linalg.LinAlgError as exc:  # modes merged in round-off
+        raise NumericalError(
+            f"mean-field eigenmodes are singular: omega_a = {wa:.12g}, "
+            f"omega_b = {wb:.12g}, lambda = {lam:.12g}"
+        ) from exc
     with np.errstate(over="ignore", invalid="ignore"):
         x = _superpose(rates, modes, coeffs, grid.times).real
         a, b = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]

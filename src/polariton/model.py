@@ -248,11 +248,28 @@ def _square_zeros(dim: int) -> np.ndarray:
         ) from exc
 
 
+def _boson_ladder(dim: int):
+    """sqrt(1), ..., sqrt(dim - 1), the entries a|n> = sqrt(n)|n-1>, and the
+    diagonal of a^dag a as the matrix product forms it: sqrt(n) sqrt(n),
+    which is not always n."""
+    roots = np.sqrt(np.arange(1, dim, dtype=float))
+    return roots, np.r_[0.0, roots * roots]
+
+
+def _spin_ladder(n_atoms: int):
+    """m = -j, ..., j for j = N/2 and the J_plus amplitudes
+    sqrt(j(j+1) - m(m+1)) for m < j.  The products m(m+1) are dyadic
+    rationals, so the sqrt arguments are computed exactly."""
+    j = n_atoms / 2.0
+    m = -j + np.arange(n_atoms + 1)
+    return m, np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
+
+
 def annihilation_matrix(dim: int) -> np.ndarray:
     """Truncated boson annihilation operator, a|n> = sqrt(n)|n-1>."""
     a = _square_zeros(dim)
     idx = np.arange(1, dim)
-    a[idx - 1, idx] = np.sqrt(idx.astype(float))
+    a[idx - 1, idx] = _boson_ladder(dim)[0]
     return a
 
 
@@ -260,28 +277,57 @@ def spin_ladder_matrices(n_atoms: int):
     """(J_plus, J_minus, J_z) for the maximal sector j = N/2.
 
     Basis ordering follows the package convention: index k = m + j ascending,
-    so entry (k+1, k) of J_plus carries sqrt(j(j+1) - m(m+1)).  The products
-    m(m+1) are dyadic rationals, so the sqrt arguments are computed exactly.
+    so entry (k+1, k) of J_plus carries sqrt(j(j+1) - m(m+1)).
     """
-    j = n_atoms / 2.0
     dim = n_atoms + 1
     jp = _square_zeros(dim)
-    m = -j + np.arange(dim)
-    amp = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
+    m, amp = _spin_ladder(n_atoms)
     jp[np.arange(1, dim), np.arange(dim - 1)] = amp
-    jz = np.diag(m)
-    return jp, jp.T.copy(), jz
+    return jp, jp.T.copy(), np.diag(m)
+
+
+def _identities(spec: HilbertSpec):
+    """Sparse identities on the photon and matter factors.  scipy's graph and
+    LU kernels index with C int, so a larger product dimension could never be
+    solved; it is refused as the failed allocation it would become, before
+    anything is allocated."""
+    if spec.dimension > np.iinfo(np.intc).max:
+        raise MemoryError(
+            f"cannot index a Hamiltonian of dimension {spec.photon_dim:.6g} x "
+            f"{spec.matter_dim:.6g} with C int"
+        )
+    return (_band(spec.photon_dim, (0, np.ones(spec.photon_dim))),
+            _band(spec.matter_dim, (0, np.ones(spec.matter_dim))))
+
+
+def _band(dim: int, *diagonals):
+    """dim x dim sparse factor holding each (offset, values) diagonal.  It is
+    built straight as COO, the format scipy.sparse.kron works in: converting
+    a scipy.sparse.diags factor to COO costs more than the kron itself on
+    small factors."""
+    from scipy.sparse import coo_matrix
+
+    rows, cols, values = [], [], []
+    for offset, diagonal in diagonals:
+        index = np.arange(len(diagonal))
+        rows.append(index + max(-offset, 0))
+        cols.append(index + max(offset, 0))
+        values.append(diagonal)
+    return coo_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    )
 
 
 def _spin_factors(params: ModelParams, spec: HilbertSpec):
-    """(J_plus, J_minus, J_z + j); the matter block must be the full j = N/2 ladder."""
+    """The J_plus amplitudes and the diagonal of J_z + j; the matter block
+    must be the full j = N/2 ladder."""
     if spec.matter_dim != params.n_atoms + 1:
         raise ConfigurationError(
             f"matter block needs matter_dim = n_atoms + 1 = "
             f"{params.n_atoms + 1}, got {spec.matter_dim}"
         )
-    jp, jm, jz = spin_ladder_matrices(params.n_atoms)
-    return jp, jm, jz + params.total_spin * np.eye(spec.matter_dim)
+    m, amp = _spin_ladder(params.n_atoms)
+    return amp, m + params.total_spin
 
 
 def _kron_sum(terms) -> HermitianOperator:
@@ -305,11 +351,13 @@ def build_dicke_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermitian
     The J_z + j shift puts the uncoupled vacuum at energy zero.  Requires
     matter_dim == n_atoms + 1 (the full maximal-j ladder).
     """
-    jp, jm, excitation = _spin_factors(params, spec)
-    a = annihilation_matrix(spec.photon_dim)
-    return _kron_sum([(params.omega_a, a.T @ a, np.eye(spec.matter_dim)),
-                      (params.omega_b, np.eye(spec.photon_dim), excitation),
-                      (params.g, a + a.T, jp + jm)])
+    eye_p, eye_m = _identities(spec)
+    jp, excitation = _spin_factors(params, spec)
+    p, m = spec.photon_dim, spec.matter_dim
+    a, number = _boson_ladder(p)
+    return _kron_sum([(params.omega_a, _band(p, (0, number)), eye_m),
+                      (params.omega_b, eye_p, _band(m, (0, excitation))),
+                      (params.g, _band(p, (1, a), (-1, a)), _band(m, (-1, jp), (1, jp)))])
 
 
 def build_bilinear_hamiltonian(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
@@ -321,11 +369,13 @@ def build_bilinear_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermit
     Rejects parameters outside the normal-phase stability region.
     """
     params.require_bilinear_stable()
-    a = annihilation_matrix(spec.photon_dim)
-    b = annihilation_matrix(spec.matter_dim)
-    return _kron_sum([(params.omega_a, a.T @ a, np.eye(spec.matter_dim)),
-                      (params.omega_b, np.eye(spec.photon_dim), b.T @ b),
-                      (params.collective_coupling, a + a.T, b + b.T)])
+    eye_p, eye_m = _identities(spec)
+    p, m = spec.photon_dim, spec.matter_dim
+    (a, number_a), (b, number_b) = _boson_ladder(p), _boson_ladder(m)
+    return _kron_sum([(params.omega_a, _band(p, (0, number_a)), eye_m),
+                      (params.omega_b, eye_p, _band(m, (0, number_b))),
+                      (params.collective_coupling,
+                       _band(p, (1, a), (-1, a)), _band(m, (1, b), (-1, b)))])
 
 
 def build_jc_rwa_hamiltonian(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
@@ -335,12 +385,14 @@ def build_jc_rwa_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermitia
 
     Conserves the total excitation number a^dag a + J_z + j.
     """
-    jp, jm, excitation = _spin_factors(params, spec)
-    a = annihilation_matrix(spec.photon_dim)
-    return _kron_sum([(params.omega_a, a.T @ a, np.eye(spec.matter_dim)),
-                      (params.omega_b, np.eye(spec.photon_dim), excitation),
-                      (params.g, a.T, jm),
-                      (params.g, a, jp)])
+    eye_p, eye_m = _identities(spec)
+    jp, excitation = _spin_factors(params, spec)
+    p, m = spec.photon_dim, spec.matter_dim
+    a, number = _boson_ladder(p)
+    return _kron_sum([(params.omega_a, _band(p, (0, number)), eye_m),
+                      (params.omega_b, eye_p, _band(m, (0, excitation))),
+                      (params.g, _band(p, (-1, a)), _band(m, (1, jp))),  # a^dag J_minus
+                      (params.g, _band(p, (1, a)), _band(m, (-1, jp)))])  # a J_plus
 
 
 BUILDERS = {
@@ -364,10 +416,11 @@ def default_spec(model: str, params: ModelParams, photon_cutoff: int) -> Hilbert
 
 def total_excitation_operator(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
     """a^dag a + J_z + j, the quantity conserved by the rotating-wave model."""
-    _, _, excitation = _spin_factors(params, spec)
-    number = np.diag(np.arange(spec.photon_dim, dtype=float))  # exact, unlike a.T @ a
-    return _kron_sum([(1.0, number, np.eye(spec.matter_dim)),
-                      (1.0, np.eye(spec.photon_dim), excitation)])
+    eye_p, eye_m = _identities(spec)
+    _, excitation = _spin_factors(params, spec)
+    number = np.arange(spec.photon_dim, dtype=float)  # exact, unlike a^dag a
+    return _kron_sum([(1.0, _band(spec.photon_dim, (0, number)), eye_m),
+                      (1.0, eye_p, _band(spec.matter_dim, (0, excitation)))])
 
 
 def expectation(op: HermitianOperator, state: StateVector) -> float:

@@ -21,7 +21,6 @@ DENSE_DIM_LIMIT = 512  # largest block densified on the auto path
 RESIDUAL_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
 KRYLOV_MAXITER = 10000
-KRYLOV_SHIFT = 1e-3  # Lanczos runs on H + KRYLOV_SHIFT |H|_F, see _lanczos
 
 
 @dataclass(frozen=True)
@@ -73,24 +72,40 @@ def _validate_decomposition(scale, matrix, values, vectors):
 
 
 def _lanczos(matrix, k: int, seed: int):
-    """Lowest k eigenpairs of a sparse Hermitian matrix by ARPACK Lanczos,
-    from a start vector fixed by the seed, in ascending order.
+    """Lowest k eigenpairs of a sparse Hermitian matrix by shift-invert
+    Lanczos, from a start vector fixed by the seed, in ascending order.
 
-    ARPACK starts its basis from OP v0, not from v0, so an eigenvector that H
-    maps to (nearly) 0, such as the vacuum at a tiny coupling, is all but
-    erased and its eigenvalue can be missed.  OP is therefore H + c with
-    c = KRYLOV_SHIFT |H|_F: no wanted eigenvalue loses its weight unless it
-    sits at -c, and c is small enough to cost only round-off."""
+    ARPACK iterates with (H - sigma)^-1, applied by one SuperLU factor of
+    H - sigma (minimum-degree ordering on A^T + A, supernodes off); memory is
+    O(fill) of the factor.  sigma sits below the Gershgorin lower bound of H
+    by 1e-3 of the Gershgorin width w, so H - sigma is positive definite with
+    condition number at most about 1e3, and the wanted eigenvalues are the
+    largest of the inverse, which has no near-null space to erase an
+    eigenvector from the start vector.  H is first scaled by a power of two
+    near 1/w, which is exact and keeps the Ritz values of the inverse near
+    1..1e3: below eps^(2/3) ARPACK's convergence test turns absolute."""
     from scipy.sparse import identity
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
     dim = matrix.shape[0]
-    shift = KRYLOV_SHIFT * float(np.linalg.norm(matrix.data))
+    centre = matrix.diagonal().real
+    radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(centre)
+    lower, upper = np.min(centre - radius), np.max(centre + radius)
+    # the width is 0 only for a multiple of the identity, stored zeros linking it
+    width = (upper - lower) or max(abs(lower), 1.0)
+    unit = np.ldexp(1.0, -np.frexp(width)[1])
+    matrix = matrix * unit
+    sigma = (lower - 1e-3 * width) * unit
+    factor = splu(
+        (matrix - sigma * identity(dim, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
+    )
+    inverse = LinearOperator((dim, dim), matvec=factor.solve, dtype=matrix.dtype)
     v0 = np.random.default_rng(seed).standard_normal(dim)
     try:
         values, vectors = eigsh(
-            matrix + shift * identity(dim, format="csr"),
-            k=k, which="SA", v0=v0, maxiter=KRYLOV_MAXITER,
+            matrix, k=k, sigma=sigma, which="LM", OPinv=inverse, v0=v0,
+            maxiter=KRYLOV_MAXITER,
         )
     except ArpackNoConvergence as exc:
         got = np.asarray(exc.eigenvalues)
@@ -99,7 +114,7 @@ def _lanczos(matrix, k: int, seed: int):
             f"iterations ({got.size}/{k} pairs found)"
         ) from exc
     order = np.argsort(values)
-    return values[order] - shift, vectors[:, order]
+    return values[order] / unit, vectors[:, order]
 
 
 def _blocked_eigh(h: HermitianOperator, k: int | None, scale: float, method: str, seed: int):
@@ -172,14 +187,15 @@ def eigendecompose(
     H is split into the connected components of its sparsity graph, which are
     exact invariant blocks (parity, excitation sectors, single states at
     g = 0), each block is solved on its own, and the lowest k pairs (all when
-    k is None) are merged by a stable sort.  A block goes to Krylov (ARPACK
-    Lanczos, start vector fixed by the seed) when k leaves it room
-    (min(k, block size) < block size - 1) and method is "krylov", or "auto"
-    with the block larger than DENSE_DIM_LIMIT; every other block is
-    densified alone and LAPACK is asked only for its lowest min(k, block
-    size) pairs.  No Lanczos run sees two blocks, so none can miss an
-    eigenvalue in another block.  Residual (1e-9 |H|_F) and orthonormality
-    (1e-10) contracts are checked for the pairs of every block.
+    k is None) are merged by a stable sort.  A block goes to Krylov
+    (shift-invert Lanczos on one SuperLU factor, start vector fixed by the
+    seed, see _lanczos) when k leaves it room (min(k, block size) < block
+    size - 1) and method is "krylov", or "auto" with the block larger than
+    DENSE_DIM_LIMIT; every other block is densified alone and LAPACK is asked
+    only for its lowest min(k, block size) pairs.  No Lanczos run sees two
+    blocks, so none can miss an eigenvalue in another block.  Residual
+    (1e-9 |H|_F) and orthonormality (1e-10) contracts are checked for the
+    pairs of every block.
     """
     if k is not None and not (1 <= k <= h.dim):
         raise ConfigurationError(f"k = {k} outside 1..{h.dim}")

@@ -1,5 +1,6 @@
 """Dispersive cavity transmission and its quantum counterpart."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ OMEGA_B = 2.4e15  # rad/s
 def _cavity(**overrides) -> CavityParams:
     base = dict(
         reflectivity=0.995,
-        background_index=1.0,
         area=1e-12,
         n_dipoles=100,
         dipole_moment=9.4e-27,
@@ -37,7 +37,7 @@ def _cavity(**overrides) -> CavityParams:
         gamma=6e12,
     )
     base.update(overrides)
-    return CavityParams.resonant(mode_index=1, **base)
+    return CavityParams.resonant(**base)
 
 
 def test_resonant_constructor_hits_the_mode():
@@ -55,7 +55,7 @@ def test_cavity_validation():
     with pytest.raises(DomainError):
         _cavity(reflectivity=0.0)
     with pytest.raises(DomainError):
-        _cavity(background_index=0.5)
+        replace(_cavity(), background_index=0.5)
     with pytest.raises(DomainError):
         _cavity(gamma=-1.0)
     with pytest.raises(DomainError):

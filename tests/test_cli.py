@@ -631,6 +631,17 @@ def test_mean_field_overflow_exits_two(tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
+def test_singular_mean_field_modes_exit_two(tmp_path, capsys):
+    # at lambda = 1e231 over omega_b = 1e-231 the four eigenmodes of the
+    # mean-field generator coincide in round-off
+    params = {"omega_a": 1.0, "omega_b": 1e-231, "g": 1e231, "n_atoms": 1}
+    cfg = _write_config(tmp_path / "cfg.json", {"params": params, "grid": {"n_samples": 16}})
+    out = tmp_path / "out"
+    assert main(["dynamics", "semiclassical", "--config", cfg, "--out", str(out)]) == 2
+    assert "eigenmodes are singular" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_float_overflow_outside_classical_exits_two(tmp_path, capsys):
     # the bilinear normal-mode form squares omega_a, a Python float
     cfg = _write_config(tmp_path / "cfg.json", {"params": {"omega_a": 1e155}})

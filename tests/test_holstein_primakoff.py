@@ -89,3 +89,14 @@ def test_gap_converges_to_bilinear_limit():
     assert cmp.final_error < 1e-3
     assert cmp.bilinear_gap == pytest.approx(math.sqrt(0.8), abs=1e-9)
     assert cmp.bilinear_gap == normal_modes(p).omega_minus
+
+
+def test_gap_error_falls_as_one_over_n():
+    # the finite-N correction to the normal-mode gap is O(1/N) (Emary and
+    # Brandes 2003; Vidal and Dusuel 2006); blocks of up to 45005 states
+    # take the shift-invert path
+    p = ModelParams.from_collective(1.0, 1.0, 0.1)
+    n_values = (100, 1000, 4000, 10000)
+    cmp = dicke_vs_bilinear_gap(p, n_values, seed=1234)
+    slope = np.polyfit(np.log(n_values), np.log(cmp.relative_errors), 1)[0]
+    assert slope == pytest.approx(-1.0, abs=0.02)

@@ -193,6 +193,60 @@ def test_lanczos_keeps_a_nearly_null_vacuum(monkeypatch):
     assert abs(dec.eigenvalues[0]) <= 1e-9 * h.frobenius_norm()
 
 
+def _banded_hermitian(dim: int, bandwidth: int, seed: int):
+    rng = np.random.default_rng(seed)
+    rows, cols, values = [], [], []
+    for offset in range(bandwidth + 1):
+        start = np.arange(dim - offset)
+        rows.append(start)
+        cols.append(start + offset)
+        part = rng.standard_normal(dim - offset) + 0j
+        if offset:
+            part += 1j * rng.standard_normal(dim - offset)
+        values.append(part)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def _path_laplacian(dim: int) -> HermitianOperator:
+    degree = np.full(dim, 2.0)
+    degree[[0, -1]] = 1.0
+    edge = np.arange(dim - 1)
+    return HermitianOperator(
+        dim,
+        np.concatenate([np.arange(dim), edge]),
+        np.concatenate([np.arange(dim), edge + 1]),
+        np.concatenate([degree, -np.ones(dim - 1)]),
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["complex", "complex-1e15", "complex-1e-15", "complex-1e150", "path", "identity"]
+)
+def test_krylov_path_on_complex_rescaled_and_gershgorin_tight_blocks(case):
+    # a complex Hermitian H is not the transpose of itself, so its LU must not
+    # reuse the row-major arrays; at 1e150 the Ritz values of an unscaled
+    # (H - sigma)^-1 fall below ARPACK's relative test; the path Laplacian's
+    # lambda_min = 0 is its Gershgorin bound, so the shift must sit strictly
+    # below that bound; and 3 I, one block through stored zeros, has
+    # Gershgorin width 0
+    if case == "path":
+        h = _path_laplacian(800)
+    elif case == "identity":
+        edge = np.arange(9)
+        h = HermitianOperator(
+            10, np.r_[np.arange(10), edge], np.r_[np.arange(10), edge + 1],
+            np.r_[np.full(10, 3.0), np.zeros(9)],
+        )
+    else:
+        scale = float(case.partition("-")[2] or 1.0)
+        rows, cols, values = _banded_hermitian(700, 3, seed=7)
+        h = HermitianOperator(700, rows, cols, scale * values)
+    reference = np.linalg.eigvalsh(h.to_dense())[:4]
+    dec = eigendecompose(h, k=4, seed=1234, method="krylov")
+    assert (dec.blocks, dec.krylov_blocks) == (1, 1)
+    assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-9 * h.frobenius_norm()
+
+
 def test_only_blocks_above_the_limit_go_to_lanczos(monkeypatch):
     import scipy.sparse.linalg
 

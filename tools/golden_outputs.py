@@ -141,6 +141,19 @@ CASES = [
         "params": {"g": 0.0},
         "hilbert": {"photon_cutoff": 63, "matter_dim": 65},
     }),
+    # N = 1000 at lambda = g sqrt(N) of about 0.095: the Dicke parity blocks
+    # of about 6500 states go to Lanczos; the JC-RWA excitation sectors hold
+    # at most 13 states each and stay dense
+    ("spectrum-dicke-krylov-large-n", ["spectrum"], {
+        "model": "dicke",
+        "params": {"g": 0.003, "n_atoms": 1000},
+        "spectrum": {"n_eigenvalues": 4},
+    }),
+    ("spectrum-jc-rwa-large-n", ["spectrum"], {
+        "model": "jc-rwa",
+        "params": {"g": 0.003, "n_atoms": 1000},
+        "spectrum": {"n_eigenvalues": 4},
+    }),
     # refused before any work: the Lanczos path of this Dicke spectrum would
     # hand the seed to numpy, which takes no negative one
     ("spectrum-negative-seed", ["spectrum"], {
