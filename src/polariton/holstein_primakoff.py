@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .model import ModelParams, annihilation_matrix, build_dicke_hamiltonian, default_spec
+from .model import (
+    ModelParams,
+    annihilation_matrix,
+    build_dicke_hamiltonian,
+    default_spec,
+    spin_ladder_matrices,
+)
 from .spectral import DEFAULT_SEED, eigendecompose, normal_modes
 
 
@@ -56,31 +62,18 @@ def hp_operators(rep: SpinRep):
     The sqrt arguments n(2j - n + 1) are exact integers, so the matrices are
     accurate to one rounding of sqrt each.
     """
-    two_j = rep.two_j
     dim = rep.dimension
     n = np.arange(1, dim)
     # <n-1| J_plus |n> = sqrt(2j - (n-1)) * sqrt(n) = sqrt(n (2j - n + 1))
-    amp = np.sqrt((n * (two_j - n + 1)).astype(float))
-    j_plus = np.zeros((dim, dim))
-    j_plus[n - 1, n] = amp
-    j_minus = j_plus.T.copy()
-    j_z = np.diag(rep.j - np.arange(dim).astype(float))
-    return j_plus, j_minus, j_z
+    amp = np.sqrt((n * (rep.two_j - n + 1)).astype(float))
+    return np.diag(amp, 1), np.diag(amp, -1), np.diag(rep.j - np.arange(dim).astype(float))
 
 
 def ladder_reference(rep: SpinRep):
-    """Standard angular momentum ladder matrices in the same ordering
-    (m = j - n descending with n).  Used as the independent comparison."""
-    j = rep.j
-    dim = rep.dimension
-    m = j - np.arange(dim).astype(float)
-    j_plus = np.zeros((dim, dim))
-    for n in range(1, dim):
-        # J_plus |j, m_n> = sqrt(j(j+1) - m_n(m_n+1)) |j, m_n + 1>
-        j_plus[n - 1, n] = math.sqrt(j * (j + 1.0) - m[n] * (m[n] + 1.0))
-    j_minus = j_plus.T.copy()
-    j_z = np.diag(m)
-    return j_plus, j_minus, j_z
+    """The ladder the Dicke builders use, sqrt(j(j+1) - m(m+1)) from
+    spin_ladder_matrices, reversed on both axes into this ordering (m = j - n
+    descending with n).  Used as the independent comparison."""
+    return tuple(op[::-1, ::-1] for op in spin_ladder_matrices(rep.two_j))
 
 
 def hp_exactness_error(rep: SpinRep) -> float:

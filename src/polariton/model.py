@@ -198,9 +198,14 @@ class HermitianOperator:
         return coo_matrix((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
 
     def frobenius_norm(self) -> float:
+        """|H|_F over both triangles.  The values are first scaled by a power
+        of two near 1/max|H_ij|, which is exact and keeps their squares from
+        overflowing at any finite scale."""
         off = self.rows != self.cols
-        sq = np.abs(self.values) ** 2
-        return float(math.sqrt(np.sum(sq) + np.sum(sq[off])))
+        magnitude = np.abs(self.values)
+        unit = np.ldexp(1.0, -np.frexp(magnitude.max())[1]) if magnitude.size else 1.0
+        sq = (magnitude * unit) ** 2
+        return float(math.sqrt(np.sum(sq) + np.sum(sq[off])) / unit)
 
 
 @dataclass(frozen=True)
@@ -237,17 +242,6 @@ class StateVector:
         return cls.basis_state(spec.dimension, spec.index(n_photon, k_matter))
 
 
-def _square_zeros(dim: int) -> np.ndarray:
-    """np.zeros((dim, dim)); a shape numpy refuses as beyond its index range
-    is reported as the failed allocation it is."""
-    try:
-        return np.zeros((dim, dim))
-    except ValueError as exc:
-        raise MemoryError(
-            f"cannot allocate a square matrix of dimension {dim:.6g}: {exc}"
-        ) from exc
-
-
 def _boson_ladder(dim: int):
     """sqrt(1), ..., sqrt(dim - 1), the entries a|n> = sqrt(n)|n-1>, and the
     diagonal of a^dag a as the matrix product forms it: sqrt(n) sqrt(n),
@@ -267,10 +261,7 @@ def _spin_ladder(n_atoms: int):
 
 def annihilation_matrix(dim: int) -> np.ndarray:
     """Truncated boson annihilation operator, a|n> = sqrt(n)|n-1>."""
-    a = _square_zeros(dim)
-    idx = np.arange(1, dim)
-    a[idx - 1, idx] = _boson_ladder(dim)[0]
-    return a
+    return np.diag(_boson_ladder(dim)[0], 1)
 
 
 def spin_ladder_matrices(n_atoms: int):
@@ -279,11 +270,8 @@ def spin_ladder_matrices(n_atoms: int):
     Basis ordering follows the package convention: index k = m + j ascending,
     so entry (k+1, k) of J_plus carries sqrt(j(j+1) - m(m+1)).
     """
-    dim = n_atoms + 1
-    jp = _square_zeros(dim)
     m, amp = _spin_ladder(n_atoms)
-    jp[np.arange(1, dim), np.arange(dim - 1)] = amp
-    return jp, jp.T.copy(), np.diag(m)
+    return np.diag(amp, -1), np.diag(amp, 1), np.diag(m)
 
 
 def _identities(spec: HilbertSpec):

@@ -59,11 +59,14 @@ class NormalModes:
 
 
 def _validate_decomposition(scale, matrix, values, vectors):
-    resid = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
+    # residuals are measured in units of a power of two near scale = |H|_F,
+    # which is exact and keeps the squares in the norm finite at any scale
+    unit = np.ldexp(1.0, -np.frexp(scale)[1])
+    resid = np.linalg.norm((matrix @ vectors - vectors * values) * unit, axis=0)
     worst = float(resid.max()) if resid.size else 0.0
-    if not (worst <= RESIDUAL_TOL * scale):
+    if not (worst <= RESIDUAL_TOL * scale * unit):
         raise NumericalError(
-            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} * |H|"
+            f"eigenpair residual {worst / unit:.3e} exceeds {RESIDUAL_TOL:.0e} * |H|"
         )
     gram = vectors.conj().T @ vectors
     ortho = float(np.max(np.abs(gram - np.eye(values.size))))
@@ -117,17 +120,48 @@ def _lanczos(matrix, k: int, seed: int):
     return values[order] / unit, vectors[:, order]
 
 
-def _blocked_eigh(h: HermitianOperator, k: int | None, scale: float, method: str, seed: int):
-    """Lowest k (all when None) eigenpairs of h, the number of blocks and the
-    number of them Lanczos served, solved one connected component of the
-    sparsity graph at a time.  No stored entry links two components, so each
-    is an exact invariant block; its pairs are validated against the scale of
-    the whole operator, since residuals off a block and overlaps between
-    blocks vanish identically."""
+def eigendecompose(
+    h: HermitianOperator,
+    k: int | None = None,
+    *,
+    seed: int = DEFAULT_SEED,
+    method: str = "auto",
+) -> EigenDecomposition:
+    """Lowest part of the spectrum of a Hermitian operator.
+
+    H is split into the connected components of the sparsity graph of its
+    stored upper triangle.  No stored entry links two components, so each is
+    an exact invariant block (parity, excitation sectors, single states at
+    g = 0); each block is solved on its own, and the lowest k pairs (all when
+    k is None) are merged by a stable sort.  A block goes to Krylov
+    (shift-invert Lanczos on one SuperLU factor, start vector fixed by the
+    seed, see _lanczos) when k leaves it room (min(k, block size) < block
+    size - 1) and method is "krylov", or "auto" with the block larger than
+    DENSE_DIM_LIMIT; every other block is densified alone and LAPACK is asked
+    only for its lowest min(k, block size) pairs.  No Lanczos run sees two
+    blocks, so none can miss an eigenvalue in another block.  Residual
+    (1e-9 |H|_F) and orthonormality (1e-10) contracts are checked for the
+    pairs of every block against the scale of the whole operator, since
+    residuals off a block and overlaps between blocks vanish identically.
+    """
     from scipy.linalg import eigh
+    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    n_blocks, labels = connected_components(h.to_sparse(), directed=False)
+    if k is not None and not (1 <= k <= h.dim):
+        raise ConfigurationError(f"k = {k} outside 1..{h.dim}")
+    if method not in ("auto", "dense", "krylov"):
+        raise ConfigurationError(f"unknown method '{method}'")
+    if method == "krylov" and (k is None or k >= h.dim - 1):
+        raise ConfigurationError(
+            f"the iterative path needs k < dim - 1, got k={k}, dim={h.dim}"
+        )
+
+    scale = max(h.frobenius_norm(), 1e-300)
+    n_blocks, labels = connected_components(
+        coo_matrix((np.ones(h.rows.size), (h.rows, h.cols)), shape=(h.dim, h.dim)),
+        directed=False,
+    )
     edges = np.arange(n_blocks + 1)
     members = np.argsort(labels, kind="stable")  # ascending within each block
     bounds = np.searchsorted(labels[members], edges)
@@ -172,44 +206,8 @@ def _blocked_eigh(h: HermitianOperator, k: int | None, scale: float, method: str
         keep = cols >= 0
         out[np.ix_(index, cols[keep])] = vectors[:, keep]
         start += block_values.size
-    return values[chosen], out, n_blocks, krylov_blocks
-
-
-def eigendecompose(
-    h: HermitianOperator,
-    k: int | None = None,
-    *,
-    seed: int = DEFAULT_SEED,
-    method: str = "auto",
-) -> EigenDecomposition:
-    """Lowest part of the spectrum of a Hermitian operator.
-
-    H is split into the connected components of its sparsity graph, which are
-    exact invariant blocks (parity, excitation sectors, single states at
-    g = 0), each block is solved on its own, and the lowest k pairs (all when
-    k is None) are merged by a stable sort.  A block goes to Krylov
-    (shift-invert Lanczos on one SuperLU factor, start vector fixed by the
-    seed, see _lanczos) when k leaves it room (min(k, block size) < block
-    size - 1) and method is "krylov", or "auto" with the block larger than
-    DENSE_DIM_LIMIT; every other block is densified alone and LAPACK is asked
-    only for its lowest min(k, block size) pairs.  No Lanczos run sees two
-    blocks, so none can miss an eigenvalue in another block.  Residual
-    (1e-9 |H|_F) and orthonormality (1e-10) contracts are checked for the
-    pairs of every block.
-    """
-    if k is not None and not (1 <= k <= h.dim):
-        raise ConfigurationError(f"k = {k} outside 1..{h.dim}")
-    if method not in ("auto", "dense", "krylov"):
-        raise ConfigurationError(f"unknown method '{method}'")
-    if method == "krylov" and (k is None or k >= h.dim - 1):
-        raise ConfigurationError(
-            f"the iterative path needs k < dim - 1, got k={k}, dim={h.dim}"
-        )
-
-    scale = max(h.frobenius_norm(), 1e-300)
-    values, vectors, blocks, krylov_blocks = _blocked_eigh(h, k, scale, method, seed)
     return EigenDecomposition(
-        eigenvalues=values, eigenvectors=vectors, blocks=blocks, krylov_blocks=krylov_blocks
+        eigenvalues=values[chosen], eigenvectors=out, blocks=n_blocks, krylov_blocks=krylov_blocks
     )
 
 
@@ -233,16 +231,18 @@ def normal_modes(params: ModelParams) -> NormalModes:
 
         [[wa^2, 2 lambda sqrt(wa wb)], [2 lambda sqrt(wa wb), wb^2]]
 
-    whose eigenvalues are the squared mode frequencies."""
+    whose eigenvalues are the squared mode frequencies.  Where the larger
+    frequency exceeds 2^500, wa, wb and lambda are first scaled by the power
+    of two that brings it below 2^500, which is exact and keeps the squares
+    finite, and the scale is divided back out of sqrt(mu)."""
     params.require_bilinear_stable()
-    lam = params.collective_coupling
-    off = 2.0 * lam * math.sqrt(params.omega_a * params.omega_b)
-    form = np.array(
-        [
-            [params.omega_a**2, off],
-            [off, params.omega_b**2],
-        ]
-    )
+    wa, wb, lam = params.omega_a, params.omega_b, params.collective_coupling
+    unit = 1.0
+    if max(wa, wb) > 2.0**500:
+        unit = math.ldexp(1.0, 500 - math.frexp(max(wa, wb))[1])
+        wa, wb, lam = wa * unit, wb * unit, lam * unit
+    off = 2.0 * lam * math.sqrt(wa * wb)
+    form = np.array([[wa**2, off], [off, wb**2]])
     mu, vecs = np.linalg.eigh(form)
     # deterministic column signs: largest component positive
     for col in range(2):
@@ -250,8 +250,8 @@ def normal_modes(params: ModelParams) -> NormalModes:
         if vecs[piv, col] < 0.0:
             vecs[:, col] = -vecs[:, col]
     return NormalModes(
-        omega_minus=float(math.sqrt(mu[0])),
-        omega_plus=float(math.sqrt(mu[1])),
+        omega_minus=float(math.sqrt(mu[0]) / unit),
+        omega_plus=float(math.sqrt(mu[1]) / unit),
         mode_matrix=vecs,
     )
 

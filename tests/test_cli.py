@@ -313,6 +313,33 @@ def test_configuration_errors_exit_one(tmp_path, capsys):
     # a truncation too large to allocate is a numerical failure, not a traceback
     huge = _write_config(tmp_path / "huge.json", {"hilbert": {"photon_cutoff": 1e9}})
     assert main(["spectrum", "--config", huge, "--out", str(tmp_path / "h")]) == 2
+    # each refusal names its cause on stderr and leaves no result file
+    (tmp_path / "text.json").write_text("{model: dicke}")
+    (tmp_path / "inf.json").write_text('{"initial": {"a_re": 1e400}}')  # JSON reads inf
+    (tmp_path / "file").write_text("")
+    no_gamma = {key: value for key, value in _cavity_block().items() if key != "gamma"}
+    for i, (argv, config, message) in enumerate([
+        (["spectrum"], "text.json", "config is not valid JSON"),
+        (["spectrum"], [1, 2], "config root must be a JSON object"),
+        (["classical"], {"model": "classical", "cavity": no_gamma}, "missing keys: ['gamma']"),
+        (["spectrum"], {"spectrum": {"n_eigenvalues": 0}}, "spectrum.n_eigenvalues must be >= 1"),
+        (["dynamics", "semiclassical"], "inf.json", "initial amplitudes must be finite"),
+        (["spectrum"], {"sweep": {"name": "g", "values": []}}, "non-empty 'values'"),
+        (["spectrum", "--sweep", "g="], None, "--sweep expects NAME=v1,v2,..."),
+        (["verify"], {"verify": {"tolerances": {"bogus": 1.0}}}, "unknown verify tolerances"),
+        (["classical"], {"model": "classical"}, "classical runs need a cavity block"),
+        (["spectrum"], {"sweep": {"name": "g", "values": 5}}, "config value cannot be read"),
+    ]):
+        if isinstance(config, str):
+            argv = [*argv, "--config", str(tmp_path / config)]
+        elif config is not None:
+            argv = [*argv, "--config", _write_config(tmp_path / f"refused{i}.json", config)]
+        out = tmp_path / f"refused{i}"
+        assert main([*argv, "--out", str(out)]) == 1, message
+        assert message in capsys.readouterr().err
+        assert not (out.exists() and any(out.iterdir()))
+    assert main(["spectrum", "--out", str(tmp_path / "file" / "out")]) == 1
+    assert "cannot create output directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, flags", [
@@ -642,11 +669,16 @@ def test_singular_mean_field_modes_exit_two(tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
-def test_float_overflow_outside_classical_exits_two(tmp_path, capsys):
-    # the bilinear normal-mode form squares omega_a, a Python float
+def test_huge_frequency_keeps_its_normal_modes(tmp_path, capsys):
+    # omega_a^2 overflows a float; the normal-mode form is scaled by a power of two
     cfg = _write_config(tmp_path / "cfg.json", {"params": {"omega_a": 1e155}})
-    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "arithmetic out of range" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads((out / "spectrum.json").read_text())
+    assert math.isfinite(payload["omega_plus"]) and math.isfinite(payload["omega_minus"])
+    assert payload["omega_plus"] == pytest.approx(1e155, rel=1e-12)
+    assert payload["omega_minus"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_writers_refuse_non_finite_numbers(tmp_path):

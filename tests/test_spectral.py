@@ -1,12 +1,13 @@
 """Eigensolvers, normal modes and cutoff convergence."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from polariton.errors import ConfigurationError, DomainError
+from polariton.errors import ConfigurationError, DomainError, NumericalError
 from polariton.model import (
     BUILDERS,
     HermitianOperator,
@@ -245,6 +246,51 @@ def test_krylov_path_on_complex_rescaled_and_gershgorin_tight_blocks(case):
     dec = eigendecompose(h, k=4, seed=1234, method="krylov")
     assert (dec.blocks, dec.krylov_blocks) == (1, 1)
     assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-9 * h.frobenius_norm()
+
+
+@pytest.mark.parametrize("method", ["krylov", "dense"])
+def test_complex_operator_is_blocked_without_a_warning(method):
+    # the blocks are found on the pattern of the stored triangle, so no
+    # complex value is cast to real on the way
+    rows, cols, values = _banded_hermitian(700, 3, seed=7)
+    h = HermitianOperator(700, rows, cols, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = eigendecompose(h, k=4, seed=1234, method=method)
+    assert dec.blocks == 1
+    reference = np.linalg.eigvalsh(h.to_dense())[:4]
+    assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-9 * h.frobenius_norm()
+
+
+def test_residual_contract_holds_where_the_squares_overflow(monkeypatch):
+    # at omega_a 1e160 the squares of the stored values overflow a float
+    p = ModelParams(omega_a=1e160, omega_b=1.0, g=0.2, n_atoms=3)
+    h = BUILDERS["dicke"](p, default_spec("dicke", p, 12))
+    unit = 2.0**-540
+    reference = float(np.linalg.norm(h.to_dense() * unit) / unit)
+    assert math.isfinite(h.frobenius_norm())
+    assert h.frobenius_norm() == pytest.approx(reference, rel=1e-14)
+    eigendecompose(h)
+    # a pair off by 1e-6 |H|_F is refused, as at ordinary scales
+    real_eigh = np.linalg.eigh
+
+    def corrupted(matrix):
+        values, vectors = real_eigh(matrix)
+        return values + 1e-6 * reference, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(NumericalError, match="eigenpair residual"):
+        eigendecompose(h)
+
+
+@pytest.mark.parametrize("omega, lam", [(1e155, 1e150), (1e299, 1e153)])
+def test_normal_modes_scale_with_huge_frequencies(omega, lam):
+    # omega^2 overflows a float; the form is scaled by a power of two
+    unit = normal_modes(ModelParams.from_collective(1.0, 1.2, lam / omega))
+    modes = normal_modes(ModelParams.from_collective(omega, 1.2 * omega, lam))
+    assert modes.omega_minus == pytest.approx(omega * unit.omega_minus, rel=1e-14)
+    assert modes.omega_plus == pytest.approx(omega * unit.omega_plus, rel=1e-14)
+    assert np.allclose(modes.mode_matrix, unit.mode_matrix, rtol=0.0, atol=1e-14)
 
 
 def test_only_blocks_above_the_limit_go_to_lanczos(monkeypatch):

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polariton.cli import VERIFY_TOLERANCES
 from polariton.errors import ConfigurationError, DomainError
 from polariton.model import (
     HermitianOperator,
@@ -11,6 +13,7 @@ from polariton.model import (
     ModelParams,
     StateVector,
     build_bilinear_hamiltonian,
+    default_spec,
     expectation,
 )
 from polariton.spectral import DENSE_DIM_LIMIT, ground_state
@@ -110,6 +113,27 @@ def test_entropy_routes_agree(ground):
     # both subsystems of a pure state carry the same mixedness
     fock_matter = linear_entropy(reduced_density(state, SPEC, "matter"))
     assert abs(fock - fock_matter) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega_a=st.floats(0.5, 2.0),
+    omega_b=st.floats(0.5, 2.0),
+    edge=st.floats(0.0, 0.8),
+    keep=st.sampled_from(["photon", "matter"]),
+)
+def test_fock_and_gaussian_entropies_agree_across_the_stability_region(
+    omega_a, omega_b, edge, keep
+):
+    # 4 lambda^2 = edge * omega_a omega_b, up to 80% of the stability edge,
+    # where cutoff 20 has converged
+    lam = 0.5 * math.sqrt(edge * omega_a * omega_b)
+    params = ModelParams.from_collective(omega_a, omega_b, lam)
+    spec = default_spec("bilinear", params, 20)
+    _, state = ground_state(build_bilinear_hamiltonian(params, spec), seed=1234)
+    fock = linear_entropy(reduced_density(state, spec, keep))
+    gaussian = gaussian_linear_entropy(gaussian_ground_state(params), keep)
+    assert abs(fock - gaussian) <= VERIFY_TOLERANCES["cross_route_entropy"]
 
 
 def test_quoted_entropy_value():

@@ -164,6 +164,14 @@ CASES = [
     ("verify-nan-tolerance", ["verify"], {
         "verify": {"tolerances": {"cross_route_entropy": float("nan")}},
     }),
+    # omega_a^2 overflows a float: the normal-mode form and the norms of the
+    # residual contract are scaled by a power of two
+    ("spectrum-bilinear-huge-frequency", ["spectrum"], {"params": {"omega_a": 1e155}}),
+    ("witness-huge-frequency", ["witness"], {"params": {"omega_a": 1e155, "omega_b": 1e155}}),
+    ("spectrum-dicke-huge-frequency", ["spectrum"], {
+        "model": "dicke",
+        "params": {"n_atoms": 3, "omega_a": 1e160},
+    }),
 ]
 
 
