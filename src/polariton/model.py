@@ -73,9 +73,15 @@ class ModelParams:
         return self.n_atoms / 2.0
 
     def bilinear_stable(self) -> bool:
-        """Normal-phase condition of the bilinear model: 4 lambda^2 < wa*wb."""
-        lam = self.collective_coupling
-        return 4.0 * lam * lam < self.omega_a * self.omega_b
+        """Normal-phase condition of the bilinear model: 4 lambda^2 < wa*wb.
+
+        Each factor is split as m 2^e and the powers of two are moved to one
+        side, which is exact, so the products neither underflow nor overflow
+        and every comparison that is finite in plain floats keeps its bits."""
+        (m_lam, e_lam), (m_a, e_a), (m_b, e_b) = (
+            math.frexp(v) for v in (self.collective_coupling, self.omega_a, self.omega_b)
+        )
+        return math.ldexp(4.0 * m_lam * m_lam, 2 * e_lam - e_a - e_b) < m_a * m_b
 
     def require_bilinear_stable(self) -> None:
         lam = self.collective_coupling

@@ -74,41 +74,87 @@ def _validate_decomposition(scale, matrix, values, vectors):
         raise NumericalError(f"eigenvector orthonormality defect {ortho:.3e}")
 
 
-def _lanczos(matrix, k: int, seed: int):
-    """Lowest k eigenpairs of a sparse Hermitian matrix by shift-invert
-    Lanczos, from a start vector fixed by the seed, in ascending order.
+def _band_order(block: HermitianOperator, matrix):
+    """Bandwidth, permutation and inverse permutation (both None for the
+    natural order) of the narrower of the natural and the reverse
+    Cuthill-McKee orderings of a block, found from the index arrays of its
+    stored triangle and of its full sparse matrix; a tie keeps the natural
+    order."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    ARPACK iterates with (H - sigma)^-1, applied by one SuperLU factor of
-    H - sigma (minimum-degree ordering on A^T + A, supernodes off); memory is
-    O(fill) of the factor.  sigma sits below the Gershgorin lower bound of H
-    by 1e-3 of the Gershgorin width w, so H - sigma is positive definite with
-    condition number at most about 1e3, and the wanted eigenvalues are the
-    largest of the inverse, which has no near-null space to erase an
-    eigenvector from the start vector.  H is first scaled by a power of two
-    near 1/w, which is exact and keeps the Ritz values of the inverse near
-    1..1e3: below eps^(2/3) ARPACK's convergence test turns absolute."""
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+    natural = int(np.max(block.cols - block.rows))
+    permutation = reverse_cuthill_mckee(matrix, symmetric_mode=True)
+    position = np.empty(block.dim, dtype=np.int64)
+    position[permutation] = np.arange(block.dim)
+    reordered = int(np.max(np.abs(position[block.rows] - position[block.cols])))
+    if reordered < natural:
+        return reordered, permutation, position
+    return natural, None, None
 
-    dim = matrix.shape[0]
-    centre = matrix.diagonal().real
-    radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(centre)
+
+def _lanczos(block: HermitianOperator, matrix, k: int, seed: int):
+    """Lowest k eigenpairs of a Hermitian block, given as its stored upper
+    triangle and as its full sparse matrix, by shift-invert Lanczos from a
+    start vector fixed by the seed, in ascending order.
+
+    ARPACK iterates with (H - sigma)^-1, applied by one banded Cholesky factor
+    of H - sigma (LAPACK pbtrf/pbtrs) in the narrower of the natural and the
+    reverse Cuthill-McKee orderings (_band_order); with bandwidth b its
+    memory is (b + 1) dim entries.  sigma sits below the Gershgorin lower
+    bound of H by 1e-3 of the Gershgorin width w, so H - sigma is positive
+    definite with condition number at most about 1e3, and the wanted
+    eigenvalues are the largest of the inverse, which has no near-null space
+    to erase an eigenvector from the start vector.  H is first scaled by a
+    power of two near 1/w, which is exact and keeps the Ritz values of the
+    inverse near 1..1e3: below eps^(2/3) ARPACK's convergence test turns
+    absolute."""
+    from scipy.linalg import get_lapack_funcs
+    from scipy.sparse.linalg import (
+        ArpackNoConvergence, LinearOperator, aslinearoperator, eigsh,
+    )
+
+    dim, rows, cols, values = block.dim, block.rows, block.cols, block.values
+    diag = rows == cols
+    magnitude = np.abs(values[~diag])
+    centre = np.bincount(rows[diag], values[diag].real, minlength=dim)
+    radius = (np.bincount(rows[~diag], magnitude, minlength=dim)
+              + np.bincount(cols[~diag], magnitude, minlength=dim))
     lower, upper = np.min(centre - radius), np.max(centre + radius)
     # the width is 0 only for a multiple of the identity, stored zeros linking it
     width = (upper - lower) or max(abs(lower), 1.0)
     unit = np.ldexp(1.0, -np.frexp(width)[1])
-    matrix = matrix * unit
     sigma = (lower - 1e-3 * width) * unit
-    factor = splu(
-        (matrix - sigma * identity(dim, format="csr")).tocsc(),
-        permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
-    )
-    inverse = LinearOperator((dim, dim), matvec=factor.solve, dtype=matrix.dtype)
+
+    # upper band storage ab[b + i - j, j] = H[i, j], i <= j, one stored entry
+    # per place as to_dense assumes; an entry the permutation moves below
+    # the diagonal is stored swapped and conjugated
+    bandwidth, permutation, position = _band_order(block, matrix)
+    if permutation is not None:
+        rows, cols = position[rows], position[cols]
+        values = np.where(rows > cols, np.conj(values), values)
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+    band = np.zeros((bandwidth + 1, dim), dtype=values.dtype, order="F")
+    band[bandwidth + rows - cols, cols] = values * unit
+    band[bandwidth] -= sigma
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+    factor, info = pbtrf(band, overwrite_ab=1)
+    if info != 0:
+        raise NumericalError(f"banded Cholesky factor of H - sigma failed (info {info})")
+
+    def solve(x):
+        if permutation is None:
+            return pbtrs(factor, x)[0]
+        out = np.empty_like(x)
+        out[permutation] = pbtrs(factor, x[permutation])[0]
+        return out
+
+    inverse = LinearOperator((dim, dim), matvec=solve, dtype=factor.dtype)
     v0 = np.random.default_rng(seed).standard_normal(dim)
     try:
+        # a lazy scaled H: in shift-invert mode ARPACK applies only OPinv
         values, vectors = eigsh(
-            matrix, k=k, sigma=sigma, which="LM", OPinv=inverse, v0=v0,
-            maxiter=KRYLOV_MAXITER,
+            aslinearoperator(matrix) * unit, k=k, sigma=sigma, which="LM",
+            OPinv=inverse, v0=v0, maxiter=KRYLOV_MAXITER,
         )
     except ArpackNoConvergence as exc:
         got = np.asarray(exc.eigenvalues)
@@ -134,8 +180,9 @@ def eigendecompose(
     an exact invariant block (parity, excitation sectors, single states at
     g = 0); each block is solved on its own, and the lowest k pairs (all when
     k is None) are merged by a stable sort.  A block goes to Krylov
-    (shift-invert Lanczos on one SuperLU factor, start vector fixed by the
-    seed, see _lanczos) when k leaves it room (min(k, block size) < block
+    (shift-invert Lanczos on one banded Cholesky factor, in natural or
+    reverse Cuthill-McKee order, start vector fixed by the seed, see
+    _lanczos) when k leaves it room (min(k, block size) < block
     size - 1) and method is "krylov", or "auto" with the block larger than
     DENSE_DIM_LIMIT; every other block is densified alone and LAPACK is asked
     only for its lowest min(k, block size) pairs.  No Lanczos run sees two
@@ -184,7 +231,7 @@ def eigendecompose(
             method == "krylov" or (method == "auto" and index.size > DENSE_DIM_LIMIT)
         ):
             matrix = block.to_sparse()
-            values, vectors = _lanczos(matrix, want, seed)
+            values, vectors = _lanczos(block, matrix, want, seed)
             krylov_blocks += 1
         else:
             matrix = block.to_dense()
@@ -233,14 +280,18 @@ def normal_modes(params: ModelParams) -> NormalModes:
 
     whose eigenvalues are the squared mode frequencies.  Where the larger
     frequency exceeds 2^500, wa, wb and lambda are first scaled by the power
-    of two that brings it below 2^500, which is exact and keeps the squares
-    finite, and the scale is divided back out of sqrt(mu)."""
+    of two that brings it below 2^500, and where it is below 2^-500, by the
+    one that brings it into [1/2, 1); this is exact and keeps the squares
+    finite and normal, and the scale is divided back out of sqrt(mu)."""
     params.require_bilinear_stable()
     wa, wb, lam = params.omega_a, params.omega_b, params.collective_coupling
+    top = max(wa, wb)
     unit = 1.0
-    if max(wa, wb) > 2.0**500:
-        unit = math.ldexp(1.0, 500 - math.frexp(max(wa, wb))[1])
-        wa, wb, lam = wa * unit, wb * unit, lam * unit
+    if top > 2.0**500:
+        unit = math.ldexp(1.0, 500 - math.frexp(top)[1])
+    elif top < 2.0**-500:
+        unit = math.ldexp(1.0, -math.frexp(top)[1])
+    wa, wb, lam = wa * unit, wb * unit, lam * unit
     off = 2.0 * lam * math.sqrt(wa * wb)
     form = np.array([[wa**2, off], [off, wb**2]])
     mu, vecs = np.linalg.eigh(form)

@@ -2,6 +2,8 @@
 file shares; no plotting dependency."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalError
@@ -143,11 +145,25 @@ def _rows(columns, separators: bytes, layout):
         yield block[block.any(axis=1)].T.tobytes().translate(None, b"\0")
 
 
+def _unit(lo, hi) -> float:
+    """A power of two near 1/max(|lo|, |hi|), or 1 below 1: differences and
+    tick values taken in these units are exact, so they keep the bytes of the
+    plain formulas, and they cannot overflow for a span near the largest
+    float."""
+    return math.ldexp(1.0, -max(math.frexp(max(abs(lo), abs(hi)))[1], 0))
+
+
 def _scale(values, lo, hi, out_lo, out_hi):
-    span = hi - lo
+    unit = _unit(lo, hi)
+    span = hi * unit - lo * unit
     if span == 0.0:
         span = 1.0
-    return out_lo + (np.asarray(values) - lo) * (out_hi - out_lo) / span
+    return out_lo + (np.asarray(values) * unit - lo * unit) * (out_hi - out_lo) / span
+
+
+def _tick(lo, hi, frac) -> float:
+    unit = _unit(lo, hi)
+    return (lo * unit + frac * (hi * unit - lo * unit)) / unit
 
 
 def line_chart(xs, ys, *, title="", x_label="", y_label="") -> str:
@@ -187,7 +203,7 @@ def line_chart(xs, ys, *, title="", x_label="", y_label="") -> str:
     )
     for i in range(N_TICKS):
         frac = i / (N_TICKS - 1)
-        xv = x_lo + frac * (x_hi - x_lo)
+        xv = _tick(x_lo, x_hi, frac)
         xp = plot_w0 + frac * (plot_w1 - plot_w0)
         parts.append(
             f'<line x1="{xp:.2f}" y1="{plot_h0}" x2="{xp:.2f}" y2="{plot_h0 + 5}" '
@@ -197,7 +213,7 @@ def line_chart(xs, ys, *, title="", x_label="", y_label="") -> str:
             f'<text x="{xp:.2f}" y="{plot_h0 + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt(xv)}</text>'
         )
-        yv = y_lo + frac * (y_hi - y_lo)
+        yv = _tick(y_lo, y_hi, frac)
         yp = plot_h0 + frac * (plot_h1 - plot_h0)
         parts.append(
             f'<line x1="{plot_w0 - 5}" y1="{yp:.2f}" x2="{plot_w0}" y2="{yp:.2f}" '

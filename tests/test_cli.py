@@ -681,6 +681,26 @@ def test_huge_frequency_keeps_its_normal_modes(tmp_path, capsys):
     assert payload["omega_minus"] == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("omega, g", [(1e-200, 1e-201), (1e160, 1e154)])
+def test_stable_spectrum_at_both_ends_of_the_float_range(tmp_path, capsys, omega, g):
+    # 4 lambda^2 and omega_a omega_b both underflow to 0, or both overflow to
+    # inf, as plain products; the spectrum is that of the unit-scale model
+    # up to round-off of the unit-scale |H|
+    payloads = []
+    for scale in (1.0, omega):
+        params = {"omega_a": omega / scale, "omega_b": omega / scale, "g": g / scale}
+        cfg = _write_config(tmp_path / "cfg.json", {"params": params})
+        out = tmp_path / f"out-{scale}"
+        assert main(["spectrum", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        payloads.append(json.loads((out / "spectrum.json").read_text()))
+    scaled, unit = payloads
+    for key in ("ground_energy", "omega_minus", "omega_plus", "first_gap"):
+        assert scaled[key] / omega == pytest.approx(unit[key], rel=1e-9, abs=1e-12)
+    assert np.allclose(np.divide(scaled["eigenvalues"], omega), unit["eigenvalues"],
+                       rtol=1e-9, atol=1e-12)
+
+
 def test_writers_refuse_non_finite_numbers(tmp_path):
     from polariton import svg
     from polariton.cli import _write_csv
@@ -690,10 +710,24 @@ def test_writers_refuse_non_finite_numbers(tmp_path):
         with pytest.raises(NumericalError, match="non-finite"):
             _write_csv(tmp_path / "t.csv", table)
         assert not (tmp_path / "t.csv").exists()
-    # finite data whose span overflows once scaled to the plot
-    for xs, ys in (([0.0, 1.0], [0.0, math.inf]), ([-1e308, 1e308], [0.0, 1.0])):
+    for xs, ys in (([0.0, 1.0], [0.0, math.inf]), ([math.nan, 1.0], [0.0, 1.0])):
         with pytest.raises(NumericalError, match="non-finite"):
             svg.line_chart(xs, ys)
+
+
+@pytest.mark.parametrize("extreme", [1e308, np.finfo(float).max])
+def test_chart_plots_a_span_near_the_largest_float(extreme):
+    # hi - lo and the tick values overflow in plain floats; in units of a
+    # power of two near 1/max(|lo|, |hi|) they do not
+    from polariton import svg
+
+    chart = svg.line_chart([-extreme, 0.0, extreme], [extreme, 0.0, -extreme])
+    assert _polyline_points(chart) == ["80.00,36.00", "390.00,210.00", "700.00,384.00"]
+    labels = [float(text) for text in re.findall(r'font-size="11">([^<]*)<', chart)]
+    assert len(labels) == 2 * svg.N_TICKS
+    assert all(math.isfinite(v) and abs(v) <= extreme for v in labels)
+    ticks = [-extreme, -extreme / 2, 0.0, extreme / 2, extreme]
+    assert sorted(labels[::2]) == pytest.approx(ticks)
 
 
 def _bit_pattern_floats():

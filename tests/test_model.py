@@ -69,6 +69,28 @@ def test_stability_threshold_is_strict():
     assert detuned.bilinear_stable()  # threshold uses the geometric mean
 
 
+@pytest.mark.parametrize("omega, g", [(1e-200, 1e-201), (1e160, 1e154)])
+def test_stability_holds_where_the_plain_products_under_or_overflow(omega, g):
+    p = ModelParams(omega_a=omega, omega_b=omega, g=g, n_atoms=1)
+    assert p.bilinear_stable()
+    p.require_bilinear_stable()
+    assert not ModelParams(omega_a=omega, omega_b=omega, g=omega, n_atoms=1).bilinear_stable()
+
+
+def test_stability_keeps_the_plain_product_rule_near_the_boundary():
+    # within a few ulps of 4 lambda^2 = wa wb at ordinary scales, the
+    # power-of-two split decides exactly as the plain float products do
+    rng = np.random.default_rng(5)
+    wa = np.exp(rng.uniform(-7.0, 7.0, 100_000))
+    wb = np.exp(rng.uniform(-7.0, 7.0, 100_000))
+    lam = 0.5 * np.sqrt(wa * wb) * (1.0 + rng.integers(-6, 7, 100_000) * np.finfo(float).eps)
+    plain = 4.0 * lam * lam < wa * wb
+    assert 0.2 < plain.mean() < 0.8
+    split = [ModelParams(a, b, g, 1).bilinear_stable()
+             for a, b, g in zip(wa.tolist(), wb.tolist(), lam.tolist())]
+    assert np.array_equal(split, plain)
+
+
 def test_hilbert_index_is_photon_major():
     spec = HilbertSpec(photon_cutoff=3, matter_dim=5)
     assert spec.photon_dim == 4

@@ -14,6 +14,7 @@ from polariton.model import (
     HilbertSpec,
     ModelParams,
     build_bilinear_hamiltonian,
+    build_dicke_hamiltonian,
     default_spec,
     total_excitation_operator,
 )
@@ -260,6 +261,67 @@ def test_complex_operator_is_blocked_without_a_warning(method):
     assert dec.blocks == 1
     reference = np.linalg.eigvalsh(h.to_dense())[:4]
     assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-9 * h.frobenius_norm()
+
+
+def test_banded_factor_reorders_a_permuted_complex_block():
+    # a complex band scattered by a random permutation: reverse Cuthill-McKee
+    # restores a narrow band, and the entries it moves below the diagonal
+    # are stored swapped and conjugated
+    from polariton.spectral import _band_order
+
+    rows, cols, values = _banded_hermitian(700, 3, seed=7)
+    scatter = np.random.default_rng(8).permutation(700)
+    rows, cols = scatter[rows], scatter[cols]
+    swap = rows > cols
+    h = HermitianOperator(
+        700, np.where(swap, cols, rows), np.where(swap, rows, cols),
+        np.where(swap, np.conj(values), values),
+    )
+    bandwidth, permutation, position = _band_order(h, h.to_sparse())
+    assert permutation is not None and bandwidth < 10 < np.max(h.cols - h.rows)
+    assert np.any(position[h.rows] > position[h.cols])
+    dense = h.to_dense()
+    dec = eigendecompose(h, k=4, seed=1234, method="krylov")
+    assert (dec.blocks, dec.krylov_blocks) == (1, 1)
+    scale = h.frobenius_norm()
+    assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(dense)[:4])) <= 1e-9 * scale
+    residual = dense @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+    assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-9 * scale
+
+
+def test_banded_factor_keeps_the_natural_order_of_a_bilinear_parity_block(monkeypatch):
+    # within a parity block the photon-major Kronecker order is already a
+    # band of width ceil(matter_dim / 2), which reverse Cuthill-McKee ties
+    from polariton import spectral
+
+    monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 2)
+    p = ModelParams(omega_a=1.0, omega_b=1.0, g=0.2, n_atoms=1)
+    h = build_bilinear_hamiltonian(p, HilbertSpec(photon_cutoff=15, matter_dim=17))
+    even = np.flatnonzero(np.add.outer(np.arange(16), np.arange(17)).ravel() % 2 == 0)
+    block = HermitianOperator.from_dense(h.to_dense()[np.ix_(even, even)])
+    bandwidth, permutation, _ = spectral._band_order(block, block.to_sparse())
+    assert (bandwidth, permutation) == (9, None)
+    dec = eigendecompose(h, k=4, seed=1234)
+    assert (dec.blocks, dec.krylov_blocks) == (2, 2)
+    reference = np.linalg.eigvalsh(h.to_dense())[:4]
+    assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-9 * h.frobenius_norm()
+
+
+def test_krylov_never_allocates_the_wide_natural_band():
+    # the N = 2000 Dicke parity blocks have natural bandwidth 1001, a band of
+    # about 1002 x 9005 doubles (72 MB); reverse Cuthill-McKee gives 9 and 17
+    import tracemalloc
+
+    p = ModelParams(omega_a=1.0, omega_b=1.0, g=0.001, n_atoms=2000)
+    h = build_dicke_hamiltonian(p, default_spec("dicke", p, 8))
+    tracemalloc.start()
+    try:
+        dec = eigendecompose(h, k=2, seed=1234)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dec.blocks, dec.krylov_blocks) == (2, 2)
+    assert peak < 20e6
 
 
 def test_residual_contract_holds_where_the_squares_overflow(monkeypatch):

@@ -154,6 +154,14 @@ CASES = [
         "params": {"g": 0.003, "n_atoms": 1000},
         "spectrum": {"n_eigenvalues": 4},
     }),
+    # N = 10^4: natural bandwidth 5001 against 9 and 17 in reverse
+    # Cuthill-McKee order, so the banded shift-invert factor must reorder
+    ("spectrum-dicke-krylov-1e4", ["spectrum"], {
+        "model": "dicke",
+        "params": {"g": 0.001, "n_atoms": 10000},
+        "hilbert": {"photon_cutoff": 8},
+        "spectrum": {"n_eigenvalues": 2},
+    }),
     # refused before any work: the Lanczos path of this Dicke spectrum would
     # hand the seed to numpy, which takes no negative one
     ("spectrum-negative-seed", ["spectrum"], {
