@@ -141,7 +141,7 @@ def _write_csv(path: Path, table: dict) -> None:
     separators = b"," * (len(columns) - 1) + b"\n"
     with path.open("wb") as out:
         out.write((",".join(table) + "\n").encode())
-        for text in svg._rows(columns, separators, svg._number_layout):
+        for text in svg._rows(columns, separators):
             out.write(text)
 
 

@@ -72,25 +72,26 @@ class ModelParams:
     def total_spin(self) -> float:
         return self.n_atoms / 2.0
 
-    def bilinear_stable(self) -> bool:
-        """Normal-phase condition of the bilinear model: 4 lambda^2 < wa*wb.
+    def _coupling_ratio(self) -> float:
+        """4 lambda^2 / (wa*wb); the bilinear model is stable below 1.
 
         Each factor is split as m 2^e and the powers of two are moved to one
-        side, which is exact, so the products neither underflow nor overflow
-        and every comparison that is finite in plain floats keeps its bits."""
+        side, which is exact, so the products neither underflow nor overflow,
+        and ratio < 1 decides as 4 lambda^2 < wa*wb wherever both are finite."""
         (m_lam, e_lam), (m_a, e_a), (m_b, e_b) = (
             math.frexp(v) for v in (self.collective_coupling, self.omega_a, self.omega_b)
         )
-        return math.ldexp(4.0 * m_lam * m_lam, 2 * e_lam - e_a - e_b) < m_a * m_b
+        return math.ldexp(4.0 * m_lam * m_lam, 2 * e_lam - e_a - e_b) / (m_a * m_b)
+
+    def bilinear_stable(self) -> bool:
+        """Normal-phase condition of the bilinear model: 4 lambda^2 < wa*wb."""
+        return self._coupling_ratio() < 1.0
 
     def require_bilinear_stable(self) -> None:
-        lam = self.collective_coupling
         if not self.bilinear_stable():
             raise DomainError(
-                "bilinear model unstable: 4*lambda^2 = "
-                f"{4.0 * lam * lam:.12g} >= omega_a*omega_b = "
-                f"{self.omega_a * self.omega_b:.12g}; "
-                "require 4*lambda^2 < omega_a*omega_b"
+                "bilinear model unstable: 4*lambda^2/(omega_a*omega_b) = "
+                f"{self._coupling_ratio():.12g} >= 1; require 4*lambda^2 < omega_a*omega_b"
             )
 
 

@@ -101,13 +101,14 @@ def _lanczos(block: HermitianOperator, matrix, k: int, seed: int):
     of H - sigma (LAPACK pbtrf/pbtrs) in the narrower of the natural and the
     reverse Cuthill-McKee orderings (_band_order); with bandwidth b its
     memory is (b + 1) dim entries.  sigma sits below the Gershgorin lower
-    bound of H by 1e-3 of the Gershgorin width w, so H - sigma is positive
-    definite with condition number at most about 1e3, and the wanted
-    eigenvalues are the largest of the inverse, which has no near-null space
-    to erase an eigenvector from the start vector.  H is first scaled by a
-    power of two near 1/w, which is exact and keeps the Ritz values of the
-    inverse near 1..1e3: below eps^(2/3) ARPACK's convergence test turns
-    absolute."""
+    bound l by a tenth of [l, smallest diagonal entry], which holds the lowest
+    eigenvalue, and by at least 2^-40 of the Gershgorin width w, which grows
+    with N in a Dicke block.  So H - sigma is positive definite with condition
+    number at most about 2^40, and the wanted eigenvalues are the largest of
+    the inverse, which has no near-null space to erase an eigenvector from
+    the start vector.  H is first scaled by a power of two near 1/w, which is
+    exact and keeps the inverse's Ritz values above about 1: below eps^(2/3)
+    ARPACK's convergence test turns absolute."""
     from scipy.linalg import get_lapack_funcs
     from scipy.sparse.linalg import (
         ArpackNoConvergence, LinearOperator, aslinearoperator, eigsh,
@@ -123,7 +124,7 @@ def _lanczos(block: HermitianOperator, matrix, k: int, seed: int):
     # the width is 0 only for a multiple of the identity, stored zeros linking it
     width = (upper - lower) or max(abs(lower), 1.0)
     unit = np.ldexp(1.0, -np.frexp(width)[1])
-    sigma = (lower - 1e-3 * width) * unit
+    sigma = (lower - max(0.1 * (np.min(centre) - lower), 2.0**-40 * width)) * unit
 
     # upper band storage ab[b + i - j, j] = H[i, j], i <= j, one stored entry
     # per place as to_dense assumes; an entry the permutation moves below

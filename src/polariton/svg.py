@@ -1,5 +1,5 @@
-"""Minimal self-contained SVG line charts, and the number text every output
-file shares; no plotting dependency."""
+"""Minimal self-contained SVG line charts, drawing what a pixel column can
+show, and the number text every output file shares; no plotting dependency."""
 from __future__ import annotations
 
 import math
@@ -18,8 +18,8 @@ N_TICKS = 5
 
 
 # The 12-significant-digit rule of every output file, and the two decimals of
-# a polyline coordinate.  Python's % defines the text; _number_layout and
-# _point_layout write the same bytes for a whole float64 column at once.
+# a polyline coordinate.  Python's % defines the text; _number_layout writes
+# the same bytes for a whole float64 CSV column at once.
 NUMBER_FORMAT = "%.12g"
 POINT_FORMAT = "%.2f"
 # rows formatted at a time: a 100001 x 2 table peaked at 24 MB of traced
@@ -31,7 +31,6 @@ BLOCK_ROWS = 16384
 _POW10_LO, _POW10_HI = -297, 308
 _POW10 = np.array([float(f"1e{k}") for k in range(_POW10_LO, _POW10_HI + 1)])
 _PLACES6 = 10 ** np.arange(5, -1, -1, dtype=np.int32)[:, None]
-_PLACES7 = 10 ** np.arange(6, -1, -1, dtype=np.int32)[:, None]
 _DIGIT = np.arange(12, dtype=np.int32)[:, None]
 _ZERO, _DOT, _MINUS, _PLUS, _E = b"0.-+e"
 
@@ -40,13 +39,13 @@ def _fmt(x: float) -> str:
     return NUMBER_FORMAT % x
 
 
-def _fall_back(layout, x, certified, fmt):
-    """The layout with fmt % v in the column of each value v the kernel did
-    not certify, widened when such a text needs more slots."""
+def _fall_back(layout, x, certified):
+    """The layout with NUMBER_FORMAT % v in the column of each value v the
+    kernel did not certify, widened when such a text needs more slots."""
     missed = np.flatnonzero(~certified)
     if missed.size == 0:
         return layout
-    text = np.array([fmt % v for v in x[missed].tolist()], dtype=bytes)
+    text = np.array([NUMBER_FORMAT % v for v in x[missed].tolist()], dtype=bytes)
     if text.itemsize > layout.shape[0]:
         pad = np.zeros((text.itemsize - layout.shape[0], x.size), np.uint8)
         layout = np.concatenate([layout, pad])
@@ -97,26 +96,7 @@ def _number_layout(x):
     layout[32] = (scientific & (power >= 100)) * (power // 100 + _ZERO)
     layout[33] = scientific * (power // 10 % 10 + _ZERO)
     layout[34] = scientific * (power % 10 + _ZERO)
-    return _fall_back(layout, x, certified, NUMBER_FORMAT)
-
-
-def _point_layout(x):
-    """POINT_FORMAT % v for each v of the finite float64 array x, laid out
-    as _number_layout does: seven integer digits, the dot and two decimals.
-    t = 100 v carries at most ~1e-7 of rounding error, so a value is
-    certified only when 0 <= t < 1e9 with no sign bit and frac(t) is more
-    than 1e-6 from one half; any other value goes through % itself."""
-    t = x * 100.0
-    certified = ~np.signbit(t) & (t < 1e9) & (np.abs(t - np.floor(t) - 0.5) > 1e-6)
-    hundredths = np.rint(np.where(certified, t, 0)).astype(np.int32)
-    whole = hundredths // 100
-    layout = np.empty((10, x.size), np.uint8)
-    leading = (whole >= _PLACES7) | (_PLACES7 == 1)
-    layout[:7] = leading * (whole // _PLACES7 % 10 + _ZERO)
-    layout[7] = _DOT
-    layout[8] = hundredths // 10 % 10 + _ZERO
-    layout[9] = hundredths % 10 + _ZERO
-    return _fall_back(layout, x, certified, POINT_FORMAT)
+    return _fall_back(layout, x, certified)
 
 
 def _text_layout(cells) -> np.ndarray:
@@ -128,17 +108,18 @@ def _text_layout(cells) -> np.ndarray:
     return array.view(np.uint8).reshape(len(data), array.itemsize).T
 
 
-def _rows(columns, separators: bytes, layout):
+def _rows(columns, separators: bytes):
     """Yield the text of the rows of columns, BLOCK_ROWS rows at a time.  A
-    float64 column is laid out by layout, any other column is a uint8 layout
-    already (_text_layout); separators[i] follows the cell of column i, and
-    rows past the shortest column are dropped."""
+    float64 column is laid out by _number_layout, any other column is a uint8
+    layout already (_text_layout); separators[i] follows the cell of column
+    i, and rows past the shortest column are dropped."""
     rows = min((column.shape[-1] for column in columns), default=0)
     for start in range(0, rows, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, rows)
         parts = []
         for column, separator in zip(columns, separators):
-            parts.append(layout(column[start:stop]) if column.ndim == 1 else column[:, start:stop])
+            parts.append(_number_layout(column[start:stop]) if column.ndim == 1
+                         else column[:, start:stop])
             parts.append(np.full((1, stop - start), separator, np.uint8))
         block = np.concatenate(parts)
         # slots no row uses are dropped before the transpose, other NULs after it
@@ -166,10 +147,24 @@ def _tick(lo, hi, frac) -> float:
     return (lo * unit + frac * (hi * unit - lo * unit)) / unit
 
 
+def _m4(px, py):
+    """Indices, ascending, of the first, last, earliest least-py and latest
+    greatest-py point of each run of consecutive points in one integer pixel
+    column: they light the run's pixels (M4; Jugel et al., PVLDB 7(10), 2014)."""
+    column = np.floor(px)
+    starts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+    ends = np.r_[starts[1:], px.size] - 1
+    run = np.repeat(np.arange(starts.size), ends - starts + 1)
+    order = np.lexsort((py, run))  # stable: each run in place, ascending py
+    keep = np.zeros(px.size, bool)
+    keep[np.r_[starts, ends, order[starts], order[ends]]] = True
+    return np.flatnonzero(keep)
+
+
 def line_chart(xs, ys, *, title="", x_label="", y_label="") -> str:
     """One polyline with axes and tick labels, returned as an SVG document.
-    Data that is not finite, or that overflows when scaled to the plot, is
-    refused with NumericalError."""
+    The polyline draws the points _m4 keeps.  Data that is not finite, or
+    that overflows when scaled to the plot, is refused with NumericalError."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -183,7 +178,8 @@ def line_chart(xs, ys, *, title="", x_label="", y_label="") -> str:
         py = _scale(ys, y_lo, y_hi, plot_h0, plot_h1)
     if not (np.isfinite(px).all() and np.isfinite(py).all()):
         raise NumericalError(f"chart '{title}' would plot a non-finite point")
-    points = b"".join(_rows([px, py], b", ", _point_layout)).decode()[:-1]
+    kept = np.column_stack([px, py])[_m4(px, py)].ravel().tolist()
+    points = " ".join([f"{POINT_FORMAT},{POINT_FORMAT}"] * (len(kept) // 2)) % tuple(kept)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

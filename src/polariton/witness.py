@@ -45,7 +45,7 @@ class WitnessVerdict:
 
     value is the measured mean energy, separable_floor the bound it is
     compared against (zero on resonance), and verdict either "entangled"
-    (value below -WITNESS_TOL) or "inconclusive"."""
+    (value below -WITNESS_TOL max(omega_a, omega_b)) or "inconclusive"."""
 
     value: float
     separable_floor: float
@@ -155,7 +155,8 @@ def witness_evaluate(
     _require_resonance(params, "the separable energy floor")
     params.require_bilinear_stable()
     value = expectation(h, state)
-    verdict = "entangled" if value < -WITNESS_TOL else "inconclusive"
+    scale = max(params.omega_a, params.omega_b)
+    verdict = "entangled" if value < -WITNESS_TOL * scale else "inconclusive"
     return WitnessVerdict(value=value, separable_floor=0.0, verdict=verdict)
 
 

@@ -539,6 +539,10 @@ def _polyline_points(svg_text):
     ],
 )
 def test_each_chart_plots_its_own_table(tmp_path, argv, config, n_charts):
+    from scipy.spatial import cKDTree
+
+    from polariton import svg
+
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "cfg.json", config)
     assert main([*argv, "--config", cfg, "--format", "csv,svg", "--out", str(out)]) == 0
@@ -546,7 +550,27 @@ def test_each_chart_plots_its_own_table(tmp_path, argv, config, n_charts):
     assert len(charts) == n_charts
     for chart in charts:
         rows = chart.with_suffix(".csv").read_text().splitlines()[1:]
-        assert len(_polyline_points(chart.read_text())) == len(rows) > 1
+        points = _polyline_points(chart.read_text())
+        if argv[-1] not in ("classical", "vacuum-correlation"):
+            # no pixel column holds a run of more than 2 points: all are drawn
+            assert len(points) == len(rows) > 1
+            continue
+        xs, ys = np.array([row.split(",")[:2] for row in rows], dtype=float).T
+        px = svg._scale(xs, xs.min(), xs.max(), svg.MARGIN_LEFT, svg.WIDTH - svg.MARGIN_RIGHT)
+        py = svg._scale(ys, ys.min(), ys.max(), svg.HEIGHT - svg.MARGIN_BOTTOM, svg.MARGIN_TOP)
+        table = np.column_stack([px, py])
+        drawn = np.array([point.split(",") for point in points], dtype=float)
+        assert 1 < len(drawn) < len(rows)
+        assert np.abs(drawn[[0, -1]] - table[[0, -1]]).max() <= 0.01
+        # every drawn point is a point of the table, and in each pixel column
+        # the drawn points reach the table's lowest and highest y
+        distance, match = cKDTree(table).query(drawn, p=np.inf)
+        assert distance.max() <= 0.01
+        column = np.floor(px)
+        for c in np.unique(column):
+            drawn_y, table_y = drawn[column[match] == c, 1], py[column == c]
+            assert abs(drawn_y.min() - table_y.min()) <= 0.01
+            assert abs(drawn_y.max() - table_y.max()) <= 0.01
 
 
 def test_csv_cells_follow_one_rule(tmp_path):
@@ -699,6 +723,16 @@ def test_stable_spectrum_at_both_ends_of_the_float_range(tmp_path, capsys, omega
         assert scaled[key] / omega == pytest.approx(unit[key], rel=1e-9, abs=1e-12)
     assert np.allclose(np.divide(scaled["eigenvalues"], omega), unit["eigenvalues"],
                        rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-200])
+def test_unstable_refusal_prints_a_finite_ratio(tmp_path, capsys, scale):
+    # 4 lambda^2 and omega_a omega_b overflow to inf, or underflow to 0, as
+    # plain products; their ratio is 4 at both scales
+    params = {"omega_a": scale, "omega_b": scale, "g": scale}
+    cfg = _write_config(tmp_path / "cfg.json", {"params": params})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "4*lambda^2/(omega_a*omega_b) = 4 >= 1" in capsys.readouterr().err
 
 
 def test_writers_refuse_non_finite_numbers(tmp_path):
@@ -938,11 +972,11 @@ def test_spectrum_and_witness_config_fuzz_exits_cleanly_and_writes_only_finite_n
         _assert_only_finite_numbers(out)
 
 
-def _kernel_text(layout, values):
-    """The kernel's text of each value, one per line."""
+def _kernel_text(values):
+    """The number kernel's text of each value, one per line."""
     from polariton import svg
 
-    text = b"".join(svg._rows([np.asarray(values, dtype=float)], b"\n", layout)).decode()
+    text = b"".join(svg._rows([np.asarray(values, dtype=float)], b"\n")).decode()
     return text.splitlines()
 
 
@@ -972,7 +1006,7 @@ def test_number_kernel_writes_what_percent_writes(values, mantissas, exponents, 
 
     subnormals = np.array(subnormal_bits, dtype=np.uint64).view(np.float64).tolist()
     values = values + _near_ties(mantissas, exponents) + subnormals + [-v for v in subnormals]
-    assert _kernel_text(svg._number_layout, values) == [svg.NUMBER_FORMAT % v for v in values]
+    assert _kernel_text(values) == [svg.NUMBER_FORMAT % v for v in values]
 
 
 def test_number_kernel_writes_what_percent_writes_at_powers_of_ten():
@@ -982,22 +1016,51 @@ def test_number_kernel_writes_what_percent_writes_at_powers_of_ten():
     values = [y for x in powers for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
     values += [0.0, -0.0, 999999999999.5, 99999999999.95, 0.00009999999999995, np.finfo(float).max]
     values += [-v for v in values]
-    assert _kernel_text(svg._number_layout, values) == [svg.NUMBER_FORMAT % v for v in values]
+    assert _kernel_text(values) == [svg.NUMBER_FORMAT % v for v in values]
 
 
-@settings(max_examples=100, deadline=None)
+def _m4_reference(px, py):
+    """The points a chart draws, one run at a time: of each run of
+    consecutive points in one integer pixel column, the first, the last, the
+    earliest of least py and the latest of greatest py."""
+    keep, start = set(), 0
+    for i in range(1, len(px) + 1):
+        if i == len(px) or math.floor(px[i]) != math.floor(px[start]):
+            run = range(start, i)
+            keep |= {start, i - 1, min(run, key=lambda k: (py[k], k)),
+                     max(run, key=lambda k: (py[k], k))}
+            start = i
+    return sorted(keep)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    values=st.lists(st.floats(0.0, 720.0), min_size=1, max_size=64),
-    steps=st.lists(st.integers(0, 144000), min_size=1, max_size=64),
+    runs=st.lists(st.tuples(st.integers(80, 699), st.integers(1, 50)), min_size=1, max_size=30),
+    ordered=st.booleans(),
+    data=st.data(),
 )
-def test_point_kernel_writes_what_percent_writes(values, steps):
+def test_chart_keeps_each_runs_first_last_lowest_and_highest_point(runs, ordered, data):
     from polariton import svg
 
-    exact = [k / 200 for k in steps]  # x.xx5 and x.xx0: the ties of two decimals
-    values = values + [y for x in exact for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
-    # signed values, then values that need more than seven integer digits
-    values += [-0.0, -0.001, -1.0, 9999999.995, 12345678.91, 3e7, 1e300]
-    assert _kernel_text(svg._point_layout, values) == [svg.POINT_FORMAT % v for v in values]
+    # runs of 1 to 50 points in one pixel column; y from a few values, so ties
+    columns = np.repeat([c for c, _ in runs], [n for _, n in runs])
+    n = columns.size
+    fractions = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    px = columns + np.array(fractions)
+    if ordered:
+        px.sort()
+    py = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([36.0, 200.0, 384.0]), st.floats(36.0, 384.0)),
+        min_size=n, max_size=n,
+    )))
+    kept = svg._m4(px, py)
+    assert kept.tolist() == _m4_reference(px, py)
+    # every pixel column keeps its first and last point, its minimum and its maximum
+    for c in np.unique(np.floor(px)):
+        points = np.flatnonzero(np.floor(px) == c)
+        drawn = np.intersect1d(points, kept)
+        assert drawn[0] == points[0] and drawn[-1] == points[-1]
+        assert py[drawn].min() == py[points].min() and py[drawn].max() == py[points].max()
 
 
 def test_block_edges_write_what_the_per_cell_rule_writes(tmp_path):
@@ -1023,7 +1086,9 @@ def test_block_edges_write_what_the_per_cell_rule_writes(tmp_path):
                         svg.MARGIN_LEFT, svg.WIDTH - svg.MARGIN_RIGHT)
         ys = svg._scale(values ** 2, (values ** 2).min(), (values ** 2).max(),
                         svg.HEIGHT - svg.MARGIN_BOTTOM, svg.MARGIN_TOP)
-        assert _polyline_points(chart) == [f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)]
+        assert _polyline_points(chart) == [
+            svg.POINT_FORMAT % xs[i] + "," + svg.POINT_FORMAT % ys[i] for i in _m4_reference(xs, ys)
+        ]
 
 
 def test_text_cells_refuse_a_nul():

@@ -195,6 +195,33 @@ def test_lanczos_keeps_a_nearly_null_vacuum(monkeypatch):
     assert abs(dec.eigenvalues[0]) <= 1e-9 * h.frobenius_norm()
 
 
+def test_lanczos_shift_does_not_grow_with_a_dicke_blocks_width(monkeypatch):
+    # at N = 10^4 the Gershgorin width is about N; a shift below the lower
+    # bound by a fixed fraction of it crowded the top of (H - sigma)^-1, took
+    # 17402 inverse applications and returned a positive ground energy
+    import scipy.linalg
+
+    real = scipy.linalg.get_lapack_funcs
+    applications = []
+
+    def counting(names, arrays):
+        pbtrf, pbtrs = real(names, arrays)
+
+        def counted(*args, **kwargs):
+            applications.append(1)
+            return pbtrs(*args, **kwargs)
+
+        return pbtrf, counted
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    p = ModelParams(omega_a=1.0, omega_b=1.0, g=1e-12, n_atoms=10000)
+    h = build_dicke_hamiltonian(p, default_spec("dicke", p, 8))
+    dec = eigendecompose(h, k=2, seed=1234)
+    assert (dec.blocks, dec.krylov_blocks) == (2, 2)
+    assert dec.eigenvalues[0] <= 0.0
+    assert 0 < len(applications) < 100
+
+
 def _banded_hermitian(dim: int, bandwidth: int, seed: int):
     rng = np.random.default_rng(seed)
     rows, cols, values = [], [], []

@@ -49,6 +49,16 @@ def test_ground_state_triggers_the_witness(ground):
     assert verdict.verdict == "entangled"
 
 
+@pytest.mark.parametrize("g, expected", [(0.1, "entangled"), (1e-6, "inconclusive")])
+def test_verdict_does_not_depend_on_the_frequency_scale(g, expected):
+    # the witness value scales with the frequencies, and so does its threshold
+    for scale in (1.0, 1e-200, 1e200):
+        p = ModelParams(omega_a=scale, omega_b=scale, g=g * scale, n_atoms=1)
+        h = build_bilinear_hamiltonian(p, HilbertSpec(8, 9))
+        _, state = ground_state(h, seed=1234)
+        assert witness_evaluate(h, state, p).verdict == expected, scale
+
+
 def test_product_fock_states_stay_above_the_floor(ground):
     h, _, _ = ground
     spec12 = HilbertSpec(11, 12)

@@ -180,6 +180,29 @@ CASES = [
         "model": "dicke",
         "params": {"n_atoms": 3, "omega_a": 1e160},
     }),
+    # the benchmark's classical grid: 100001 points, about 160 to a pixel
+    # column of the chart
+    ("classical-benchmark-grid", ["classical", *ALL_FORMATS], {
+        "model": "classical",
+        "cavity": REFERENCE_CAVITY,
+        "freq_grid": {
+            "min": 0.7 * REFERENCE_CAVITY["omega_b"],
+            "max": 1.3 * REFERENCE_CAVITY["omega_b"],
+            "n": 100001,
+        },
+    }),
+    # lambda = 1e-10 against a Gershgorin width of about N: the ground energy
+    # is about -lambda^2 / 2, below the vacuum's Rayleigh quotient of 0
+    ("spectrum-dicke-tiny-coupling", ["spectrum"], {
+        "model": "dicke",
+        "params": {"g": 1e-12, "n_atoms": 10000},
+        "hilbert": {"photon_cutoff": 8},
+        "spectrum": {"n_eigenvalues": 2},
+    }),
+    # the witness value scales with the frequencies, and so does its threshold
+    ("witness-tiny-frequency", ["witness"], {
+        "params": {"omega_a": 1e-200, "omega_b": 1e-200, "g": 1e-201},
+    }),
 ]
 
 
