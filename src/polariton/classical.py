@@ -232,17 +232,21 @@ def _peak_indices(vals, floor):
 
 
 def _refine(freqs, vals, i):
-    """Vertex of the parabola through three samples around a local maximum."""
-    x0, x1, x2 = freqs[i - 1], freqs[i], freqs[i + 1]
+    """Vertex of the parabola through three samples around a local maximum.
+    The frequencies are taken in units of a power of two near their largest
+    magnitude, which is exact, so the cubes in the parabola's coefficients
+    cannot overflow and an ordinary grid keeps the bits of the plain formula."""
+    unit = np.ldexp(1.0, -np.frexp(np.max(np.abs(freqs[i - 1 : i + 2])))[1])
+    x0, x1, x2 = freqs[i - 1] * unit, freqs[i] * unit, freqs[i + 1] * unit
     y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
     denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
     a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
     b = (x2 * x2 * (y0 - y1) + x1 * x1 * (y2 - y0) + x0 * x0 * (y1 - y2)) / denom
     if a >= 0.0:
-        return float(x1), float(y1)
+        return float(freqs[i]), float(y1)
     xv = -b / (2.0 * a)
     cc = y1 - a * x1 * x1 - b * x1
-    return float(xv), float(a * xv * xv + b * xv + cc)
+    return float(xv / unit), float(a * xv * xv + b * xv + cc)
 
 
 def peak_splitting(spectrum: SpectrumSeries) -> PeakReport:

@@ -77,21 +77,27 @@ class ModelParams:
 
         Each factor is split as m 2^e and the powers of two are moved to one
         side, which is exact, so the products neither underflow nor overflow,
-        and ratio < 1 decides as 4 lambda^2 < wa*wb wherever both are finite."""
+        and ratio < 1 decides as 4 lambda^2 < wa*wb wherever both are finite.
+        A ratio beyond the float range is returned as inf, which is >= 1."""
         (m_lam, e_lam), (m_a, e_a), (m_b, e_b) = (
             math.frexp(v) for v in (self.collective_coupling, self.omega_a, self.omega_b)
         )
-        return math.ldexp(4.0 * m_lam * m_lam, 2 * e_lam - e_a - e_b) / (m_a * m_b)
+        try:
+            return math.ldexp(4.0 * m_lam * m_lam, 2 * e_lam - e_a - e_b) / (m_a * m_b)
+        except OverflowError:
+            return math.inf
 
     def bilinear_stable(self) -> bool:
         """Normal-phase condition of the bilinear model: 4 lambda^2 < wa*wb."""
         return self._coupling_ratio() < 1.0
 
     def require_bilinear_stable(self) -> None:
-        if not self.bilinear_stable():
+        ratio = self._coupling_ratio()
+        if not ratio < 1.0:
+            shown = f"= {ratio:.12g}" if math.isfinite(ratio) else "is beyond the float range, so"
             raise DomainError(
-                "bilinear model unstable: 4*lambda^2/(omega_a*omega_b) = "
-                f"{self._coupling_ratio():.12g} >= 1; require 4*lambda^2 < omega_a*omega_b"
+                f"bilinear model unstable: 4*lambda^2/(omega_a*omega_b) {shown} >= 1; "
+                "require 4*lambda^2 < omega_a*omega_b"
             )
 
 

@@ -1,6 +1,7 @@
 """Eigensolvers, normal-mode analysis, and cutoff convergence ladders."""
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -26,13 +27,17 @@ KRYLOV_MAXITER = 10000
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues in ascending order with eigenvectors as matching columns;
-    blocks is the number of invariant blocks the operator was solved in, and
-    krylov_blocks how many of them Lanczos served (the rest were dense)."""
+    blocks is the number of invariant blocks found in the operator,
+    skipped_blocks how many of them were left unsolved because their
+    Gershgorin bound proves that none of their eigenvalues is wanted, and
+    krylov_blocks how many of the solved ones Lanczos served (the rest were
+    dense)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     blocks: int
     krylov_blocks: int
+    skipped_blocks: int
 
     @property
     def count(self) -> int:
@@ -58,7 +63,10 @@ class NormalModes:
         return self.omega_plus - self.omega_minus
 
 
-def _validate_decomposition(scale, matrix, values, vectors):
+def _validate_decomposition(scale, matrix, values, vectors, least):
+    """Residual, orthonormality and Rayleigh contracts of one block's pairs,
+    in ascending order.  least, the block's smallest diagonal entry, is a
+    basis vector's Rayleigh quotient, so no lowest eigenvalue lies above it."""
     # residuals are measured in units of a power of two near scale = |H|_F,
     # which is exact and keeps the squares in the norm finite at any scale
     unit = np.ldexp(1.0, -np.frexp(scale)[1])
@@ -72,6 +80,30 @@ def _validate_decomposition(scale, matrix, values, vectors):
     ortho = float(np.max(np.abs(gram - np.eye(values.size))))
     if not (ortho <= ORTHONORMALITY_TOL):
         raise NumericalError(f"eigenvector orthonormality defect {ortho:.3e}")
+    if not (values[0] <= least + RESIDUAL_TOL * scale):
+        raise NumericalError(
+            f"lowest eigenvalue {values[0]:.12g} of a block lies above its smallest "
+            f"diagonal entry {least:.12g}: the solver missed the block's lowest pair"
+        )
+
+
+def _gershgorin(h: HermitianOperator, members, starts):
+    """Per block, its Gershgorin lower and upper bounds and its smallest
+    diagonal entry, from one pass over the stored triangle: members lists the
+    indices block by block and starts is where each block begins in it.  A
+    row's disc sums the magnitudes of its stored entries in storage order,
+    with each diagonal entry's magnitude as an exact 0."""
+    diag = h.rows == h.cols
+    magnitude = np.abs(h.values)
+    magnitude[diag] = 0.0
+    centre = np.bincount(h.rows[diag], h.values[diag].real, minlength=h.dim)
+    radius = np.bincount(h.rows, magnitude, minlength=h.dim)
+    radius += np.bincount(h.cols, magnitude, minlength=h.dim)
+    return (
+        np.minimum.reduceat((centre - radius)[members], starts),
+        np.maximum.reduceat((centre + radius)[members], starts),
+        np.minimum.reduceat(centre[members], starts),
+    )
 
 
 def _band_order(block: HermitianOperator, matrix):
@@ -92,10 +124,12 @@ def _band_order(block: HermitianOperator, matrix):
     return natural, None, None
 
 
-def _lanczos(block: HermitianOperator, matrix, k: int, seed: int):
+def _lanczos(block: HermitianOperator, matrix, k: int, seed: int, lower, upper, least):
     """Lowest k eigenpairs of a Hermitian block, given as its stored upper
     triangle and as its full sparse matrix, by shift-invert Lanczos from a
-    start vector fixed by the seed, in ascending order.
+    start vector fixed by the seed, in ascending order.  lower and upper are
+    the block's Gershgorin bounds and least its smallest diagonal entry
+    (_gershgorin).
 
     ARPACK iterates with (H - sigma)^-1, applied by one banded Cholesky factor
     of H - sigma (LAPACK pbtrf/pbtrs) in the narrower of the natural and the
@@ -115,16 +149,10 @@ def _lanczos(block: HermitianOperator, matrix, k: int, seed: int):
     )
 
     dim, rows, cols, values = block.dim, block.rows, block.cols, block.values
-    diag = rows == cols
-    magnitude = np.abs(values[~diag])
-    centre = np.bincount(rows[diag], values[diag].real, minlength=dim)
-    radius = (np.bincount(rows[~diag], magnitude, minlength=dim)
-              + np.bincount(cols[~diag], magnitude, minlength=dim))
-    lower, upper = np.min(centre - radius), np.max(centre + radius)
     # the width is 0 only for a multiple of the identity, stored zeros linking it
     width = (upper - lower) or max(abs(lower), 1.0)
     unit = np.ldexp(1.0, -np.frexp(width)[1])
-    sigma = (lower - max(0.1 * (np.min(centre) - lower), 2.0**-40 * width)) * unit
+    sigma = (lower - max(0.1 * (least - lower), 2.0**-40 * width)) * unit
 
     # upper band storage ab[b + i - j, j] = H[i, j], i <= j, one stored entry
     # per place as to_dense assumes; an entry the permutation moves below
@@ -180,7 +208,16 @@ def eigendecompose(
     stored upper triangle.  No stored entry links two components, so each is
     an exact invariant block (parity, excitation sectors, single states at
     g = 0); each block is solved on its own, and the lowest k pairs (all when
-    k is None) are merged by a stable sort.  A block goes to Krylov
+    k is None) are merged in block order by a stable sort.
+
+    One pass over the stored triangle gives each block its Gershgorin lower
+    bound l_B and its smallest diagonal entry d_B (_gershgorin), and the
+    blocks are visited in ascending d_B.  When k is given and k values have
+    been found, a block with l_B - 1e-9 |H|_F above the k-th lowest of them
+    is skipped: every eigenvalue it holds is at least l_B, so none of its
+    pairs, even with the residual the contract allows, could enter the merge,
+    which therefore chooses the same columns in the same order as if it had
+    been solved.  With k None every block is solved.  A block goes to Krylov
     (shift-invert Lanczos on one banded Cholesky factor, in natural or
     reverse Cuthill-McKee order, start vector fixed by the seed, see
     _lanczos) when k leaves it room (min(k, block size) < block
@@ -189,8 +226,10 @@ def eigendecompose(
     only for its lowest min(k, block size) pairs.  No Lanczos run sees two
     blocks, so none can miss an eigenvalue in another block.  Residual
     (1e-9 |H|_F) and orthonormality (1e-10) contracts are checked for the
-    pairs of every block against the scale of the whole operator, since
-    residuals off a block and overlaps between blocks vanish identically.
+    pairs of every solved block against the scale of the whole operator,
+    since residuals off a block and overlaps between blocks vanish
+    identically, and so is the Rayleigh contract: a block's lowest value is
+    at most d_B + 1e-9 |H|_F (_validate_decomposition).
     """
     from scipy.linalg import eigh
     from scipy.sparse import coo_matrix
@@ -219,9 +258,14 @@ def eigendecompose(
     by_entry = np.argsort(labels[h.rows], kind="stable")
     entry_bounds = np.searchsorted(labels[h.rows][by_entry], edges)
 
-    solved = []
+    lower, upper, least = _gershgorin(h, members, bounds[:-1])
+    margin = RESIDUAL_TOL * scale
+    lowest = []  # the k lowest values found so far, negated: a max-heap
+    solved = {}
     krylov_blocks = 0
-    for b in range(n_blocks):
+    for b in np.argsort(least, kind="stable"):
+        if k is not None and len(lowest) == k and lower[b] - margin > -lowest[0]:
+            continue
         index = members[bounds[b] : bounds[b + 1]]
         entries = by_entry[entry_bounds[b] : entry_bounds[b + 1]]
         block = HermitianOperator(
@@ -232,7 +276,7 @@ def eigendecompose(
             method == "krylov" or (method == "auto" and index.size > DENSE_DIM_LIMIT)
         ):
             matrix = block.to_sparse()
-            values, vectors = _lanczos(block, matrix, want, seed)
+            values, vectors = _lanczos(block, matrix, want, seed, lower[b], upper[b], least[b])
             krylov_blocks += 1
         else:
             matrix = block.to_dense()
@@ -240,22 +284,30 @@ def eigendecompose(
                 values, vectors = eigh(matrix, subset_by_index=[0, want - 1])
             else:
                 values, vectors = np.linalg.eigh(matrix)
-        _validate_decomposition(scale, matrix, values, vectors)
-        solved.append((index, values, vectors))
+        _validate_decomposition(scale, matrix, values, vectors, least[b])
+        solved[b] = (index, values, vectors)
+        if k is not None:
+            for value in values:
+                if len(lowest) < k:
+                    heapq.heappush(lowest, -value)
+                elif value < -lowest[0]:
+                    heapq.heapreplace(lowest, -value)
 
-    values = np.concatenate([block_values for _, block_values, _ in solved])
+    parts = [solved[b] for b in sorted(solved)]
+    values = np.concatenate([block_values for _, block_values, _ in parts])
     chosen = np.argsort(values, kind="stable")[:k]
     column = np.full(values.size, -1)
     column[chosen] = np.arange(chosen.size)
-    out = np.zeros((h.dim, chosen.size), dtype=solved[0][2].dtype)
+    out = np.zeros((h.dim, chosen.size), dtype=parts[0][2].dtype)
     start = 0
-    for index, block_values, vectors in solved:
+    for index, block_values, vectors in parts:
         cols = column[start : start + block_values.size]
         keep = cols >= 0
         out[np.ix_(index, cols[keep])] = vectors[:, keep]
         start += block_values.size
     return EigenDecomposition(
-        eigenvalues=values[chosen], eigenvectors=out, blocks=n_blocks, krylov_blocks=krylov_blocks
+        eigenvalues=values[chosen], eigenvectors=out, blocks=n_blocks,
+        krylov_blocks=krylov_blocks, skipped_blocks=n_blocks - len(solved),
     )
 
 

@@ -1,14 +1,17 @@
 """Dispersive cavity transmission and its quantum counterpart."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c as LIGHT_SPEED
 
 from polariton.classical import (
     CavityParams,
     _peak_indices,
+    _refine,
     classical_quantum_agreement,
     default_grid,
     lorentz_permittivity,
@@ -131,6 +134,28 @@ def test_peak_splitting_on_synthetic_lorentzians():
     report = peak_splitting(SpectrumSeries(grid, lor))
     assert report.flag == "split"
     assert abs(report.splitting - (f2 - f1)) < 0.1 * bin_width
+
+
+def test_refine_takes_the_vertex_of_a_grid_whose_cubes_overflow():
+    # (x0 - x1)(x0 - x2)(x1 - x2) is about 1e357 in plain floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, y = _refine(np.array([1e120, 1.1e120, 1.2e120]), np.array([0.5, 1.0, 0.5]), 1)
+    assert x == pytest.approx(1.1e120, rel=1e-12)
+    assert y == pytest.approx(1.0, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    centre=st.floats(1e-3, 1e3),
+    step=st.floats(1e-3, 0.3),
+    heights=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    power=st.integers(-1000, 1000),
+)
+def test_refine_scales_exactly_with_a_power_of_two(centre, step, heights, power):
+    grid = centre * np.array([1.0 - step, 1.0, 1.0 + step])
+    x, y = _refine(grid, np.array(heights), 1)
+    assert _refine(np.ldexp(grid, power), np.array(heights), 1) == (math.ldexp(x, power), y)
 
 
 def test_peak_splitting_degenerate_inputs():

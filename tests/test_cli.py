@@ -735,6 +735,15 @@ def test_unstable_refusal_prints_a_finite_ratio(tmp_path, capsys, scale):
     assert "4*lambda^2/(omega_a*omega_b) = 4 >= 1" in capsys.readouterr().err
 
 
+def test_unstable_refusal_beyond_the_float_range_exits_one(tmp_path, capsys):
+    # 4 lambda^2 / (omega_a omega_b) = 4e1200: a domain refusal, not an
+    # arithmetic failure
+    params = {"omega_a": 1e-300, "omega_b": 1e-300, "g": 1e300}
+    cfg = _write_config(tmp_path / "cfg.json", {"params": params})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "4*lambda^2/(omega_a*omega_b) is beyond the float range" in capsys.readouterr().err
+
+
 def test_writers_refuse_non_finite_numbers(tmp_path):
     from polariton import svg
     from polariton.cli import _write_csv

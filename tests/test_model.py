@@ -77,6 +77,14 @@ def test_stability_holds_where_the_plain_products_under_or_overflow(omega, g):
     assert not ModelParams(omega_a=omega, omega_b=omega, g=omega, n_atoms=1).bilinear_stable()
 
 
+def test_stability_ratio_beyond_the_float_range_counts_as_unstable():
+    # 4 lambda^2 / (wa wb) = 4e1200 has no float; it is not a stable model
+    p = ModelParams(omega_a=1e-300, omega_b=1e-300, g=1e300, n_atoms=1)
+    assert not p.bilinear_stable()
+    with pytest.raises(DomainError, match="is beyond the float range, so >= 1"):
+        p.require_bilinear_stable()
+
+
 def test_stability_keeps_the_plain_product_rule_near_the_boundary():
     # within a few ulps of 4 lambda^2 = wa wb at ordinary scales, the
     # power-of-two split decides exactly as the plain float products do

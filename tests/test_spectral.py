@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from polariton.errors import ConfigurationError, DomainError, NumericalError
@@ -115,6 +116,61 @@ def test_auto_method_serves_every_k(monkeypatch):
     assert np.allclose(krylov.eigenvalues, full.eigenvalues[:3], atol=1e-9)
 
 
+def _record_solved_blocks(mp):
+    """The matrix of every block that eigendecompose solves, in the order it
+    solves them, recorded where the block's pairs are validated."""
+    from polariton import spectral
+
+    solved = []
+    real = spectral._validate_decomposition
+
+    def recording(scale, matrix, *rest):
+        solved.append(matrix.toarray() if hasattr(matrix, "toarray") else matrix.copy())
+        return real(scale, matrix, *rest)
+
+    mp.setattr(spectral, "_validate_decomposition", recording)
+    return solved
+
+
+def _assert_skips_are_certified(h, k, dec, solved):
+    """The k lowest values of h are returned; every block holding one of them
+    was solved; every block left unsolved has its Gershgorin lower bound above
+    the k-th; a value tied across blocks takes the lower block's column
+    first; and the solved and the skipped blocks are all the blocks.  Blocks
+    with equal matrices (twins) are told apart by how often one was solved."""
+    dense = h.to_dense()
+    reference = np.linalg.eigvalsh(dense)[:k]
+    assert dec.count == k
+    assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-9 * h.frobenius_norm()
+    assert len(solved) + dec.skipped_blocks == dec.blocks
+    pattern = coo_matrix((np.ones(h.rows.size), (h.rows, h.cols)), shape=(h.dim, h.dim))
+    labels = connected_components(pattern, directed=False)[1]
+    assert labels.max() + 1 == dec.blocks
+    blocks = [dense[np.ix_(labels == b, labels == b)] for b in range(dec.blocks)]
+
+    def twins(matrix, among):
+        return [i for i, other in enumerate(among)
+                if other.shape == matrix.shape and np.array_equal(other, matrix)]
+
+    for matrix in blocks:
+        group, times = twins(matrix, blocks), len(twins(matrix, solved))
+        if np.linalg.eigvalsh(matrix)[0] <= reference[-1]:
+            assert times == len(group)
+        if times < len(group):
+            magnitude = np.abs(matrix)
+            radius = magnitude.sum(axis=1) - np.diag(magnitude)
+            assert np.min(np.diag(matrix).real - radius) > reference[-1]
+    owner = labels[np.argmax(np.abs(dec.eigenvectors), axis=0)]
+    values = dec.eigenvalues
+    for j in range(k):
+        if j + 1 < k and values[j] == values[j + 1]:
+            assert owner[j] <= owner[j + 1]
+        held = np.sum((owner == owner[j]) & (values == values[j]))
+        for twin in twins(blocks[owner[j]], blocks):
+            if twin < owner[j]:
+                assert np.sum((owner == twin) & (values == values[j])) >= held
+
+
 @pytest.mark.parametrize("model, g", [
     ("dicke", 0.1), ("bilinear", 0.1), ("jc-rwa", 0.1),
     ("dicke", 0.0), ("bilinear", 0.0), ("jc-rwa", 0.0),
@@ -136,10 +192,15 @@ def test_dense_path_solves_each_symmetry_block_alone(monkeypatch, model, g, k):
     monkeypatch.setattr(
         HermitianOperator, "to_dense", lambda op: densified.append(op.dim) or real(op)
     )
+    solved = _record_solved_blocks(monkeypatch)
     dec = eigendecompose(h, k, seed=1234)
     assert dec.blocks == expected
-    assert len(densified) == expected and sum(densified) == h.dim
     assert max(densified) < h.dim
+    if k is None:
+        assert len(densified) == expected and sum(densified) == h.dim
+    else:
+        assert len(densified) + dec.skipped_blocks == dec.blocks
+        _assert_skips_are_certified(h, k, dec, solved)
 
 
 @settings(max_examples=80, deadline=None)
@@ -190,9 +251,13 @@ def test_lanczos_keeps_a_nearly_null_vacuum(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 2)
     p = ModelParams(omega_a=1.0, omega_b=1.1, g=1e-30, n_atoms=1)
     h = build_bilinear_hamiltonian(p, default_spec("bilinear", p, 6))
+    solved = _record_solved_blocks(monkeypatch)
     dec = eigendecompose(h, k=1, seed=1234)
-    assert (dec.blocks, dec.krylov_blocks) == (2, 2)
+    # the odd block's Gershgorin bound, about min(omega_a, omega_b), lies
+    # above the vacuum's 0, so only the vacuum's block is solved
+    assert (dec.blocks, dec.krylov_blocks, dec.skipped_blocks) == (2, 1, 1)
     assert abs(dec.eigenvalues[0]) <= 1e-9 * h.frobenius_norm()
+    _assert_skips_are_certified(h, 1, dec, solved)
 
 
 def test_lanczos_shift_does_not_grow_with_a_dicke_blocks_width(monkeypatch):
@@ -399,10 +464,13 @@ def test_only_blocks_above_the_limit_go_to_lanczos(monkeypatch):
         HermitianOperator, "to_dense", lambda op: densified.append(op.dim) or real_dense(op)
     )
     monkeypatch.setattr(spectral, "DENSE_DIM_LIMIT", 3)
+    solved = _record_solved_blocks(monkeypatch)
     dec = eigendecompose(h, 2, seed=1234)
-    assert lanczos == [(4, 4)] * 3
-    assert sorted(densified) == [1, 1, 2, 2, 3, 3]
-    assert (dec.blocks, dec.krylov_blocks) == (9, 3)
+    assert all(shape == (4, 4) for shape in lanczos)
+    assert all(dim <= 3 for dim in densified)
+    assert (dec.blocks, dec.krylov_blocks) == (9, len(lanczos))
+    assert len(lanczos) + len(densified) + dec.skipped_blocks == dec.blocks
+    _assert_skips_are_certified(h, 2, dec, solved)
 
 
 @settings(max_examples=80, deadline=None)
@@ -424,16 +492,136 @@ def test_krylov_blocks_match_a_whole_matrix_eigh(model, g, n_atoms, photon_cutof
     reference = np.linalg.eigh(dense)[0][:k]
     sizes = np.bincount(connected_components(h.to_sparse(), directed=False)[1])
     with pytest.MonkeyPatch.context() as mp:
-        # every block with room for Lanczos (k < size - 1) is served by it
+        # every solved block with room for Lanczos (k < size - 1) is served by it
         mp.setattr(spectral, "DENSE_DIM_LIMIT", 2)
+        solved = _record_solved_blocks(mp)
         dec = eigendecompose(h, k, seed=1234)
+    solved_sizes = np.array([m.shape[0] for m in solved])
     tol = 1e-9 * h.frobenius_norm()
     assert dec.count == k
-    assert (dec.blocks, dec.krylov_blocks) == (sizes.size, np.sum(np.minimum(k, sizes) < sizes - 1))
+    assert (dec.blocks, dec.krylov_blocks) == (
+        sizes.size, np.sum(np.minimum(k, solved_sizes) < solved_sizes - 1)
+    )
+    _assert_skips_are_certified(h, k, dec, solved)
     assert np.max(np.abs(dec.eigenvalues - reference)) <= tol
     v = dec.eigenvectors
     assert np.max(np.abs(v.conj().T @ v - np.eye(k))) <= 1e-10
     assert np.max(np.abs(v.conj().T @ dense @ v - np.diag(dec.eigenvalues))) <= tol
+
+
+def test_witness_ground_state_factors_only_the_even_parity_block(monkeypatch):
+    # the benchmark's witness operator at g = 0.4: the odd parity block's
+    # Gershgorin lower bound, about -0.04, lies above the ground energy,
+    # about -0.106, so k = 1 factors and iterates on the even block alone
+    import scipy.linalg
+
+    real = scipy.linalg.get_lapack_funcs
+    factored = []
+
+    def counting(names, arrays):
+        pbtrf, pbtrs = real(names, arrays)
+
+        def counted(band, *args, **kwargs):
+            factored.append(band.shape[1])
+            return pbtrf(band, *args, **kwargs)
+
+        return counted, pbtrs
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    p = ModelParams(omega_a=1.0, omega_b=1.0, g=0.4, n_atoms=1)
+    h = build_bilinear_hamiltonian(p, HilbertSpec(photon_cutoff=63, matter_dim=65))
+    dec = eigendecompose(h, k=1, seed=1234)
+    assert factored == [2080]
+    assert (dec.blocks, dec.krylov_blocks, dec.skipped_blocks) == (2, 1, 1)
+    assert dec.eigenvalues[0] == pytest.approx(ground_energy_bilinear(p), abs=1e-9)
+
+
+@st.composite
+def _scattered_blocks(draw):
+    """A Hermitian operator made of random blocks, some shifted far above the
+    rest and some repeated exactly (twins, whose values tie), with the
+    indices of all blocks scattered by a random permutation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    imaginary = draw(st.sampled_from([0.0, 1j]), label="imaginary")
+    matrices = []
+    for _ in range(draw(st.integers(1, 6), label="blocks")):
+        if matrices and draw(st.booleans(), label="twin"):
+            matrices.append(matrices[draw(st.integers(0, len(matrices) - 1))])
+            continue
+        size = draw(st.integers(1, 6), label="size")
+        a = rng.standard_normal((size, size)) + imaginary * rng.standard_normal((size, size))
+        shift = draw(st.sampled_from([0.0, 2.0, 50.0, 1e4]), label="shift")
+        matrices.append(a + a.conj().T + shift * np.eye(size))
+    dim = sum(m.shape[0] for m in matrices)
+    scatter = rng.permutation(dim)
+    dense = np.zeros((dim, dim), dtype=np.result_type(*matrices))
+    start = 0
+    for m in matrices:
+        index = np.sort(scatter[start : start + m.shape[0]])
+        dense[np.ix_(index, index)] = m
+        start += m.shape[0]
+    return HermitianOperator.from_dense(dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=_scattered_blocks(), limit=st.sampled_from([2, 512]), data=st.data())
+def test_skipped_blocks_cannot_hold_a_wanted_value(h, limit, data):
+    from polariton import spectral
+
+    k = data.draw(st.integers(1, h.dim), label="k")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "DENSE_DIM_LIMIT", limit)
+        solved = _record_solved_blocks(mp)
+        dec = eigendecompose(h, k, seed=1234)
+    _assert_skips_are_certified(h, k, dec, solved)
+
+
+def test_a_block_whose_bound_reaches_below_the_kth_value_is_solved(monkeypatch):
+    # [[1, 1.5], [1.5, 4]] holds no wanted value, its lowest being about
+    # 0.38 against the ground value 0, but its Gershgorin lower bound -0.5
+    # does not prove that, so it is solved; the state at 10 is skipped
+    h = HermitianOperator(4, [0, 1, 1, 2, 3], [0, 1, 2, 2, 3], [0.0, 1.0, 1.5, 4.0, 10.0])
+    solved = _record_solved_blocks(monkeypatch)
+    dec = eigendecompose(h, k=1, seed=1234)
+    assert [m.shape[0] for m in solved] == [1, 2]
+    assert (dec.blocks, dec.skipped_blocks) == (3, 1)
+    assert dec.eigenvalues.tolist() == [0.0]
+    _assert_skips_are_certified(h, 1, dec, solved)
+
+
+def test_a_value_tied_across_blocks_takes_the_lower_blocks_column_first(monkeypatch):
+    # [[2, 1], [1, 2]] on states 0 and 1 and [1] on state 2 both hold exactly
+    # 1; the second block is visited first, having the smaller diagonal
+    # entry, but the merge keeps block order
+    h = HermitianOperator(3, [0, 0, 1, 2], [0, 1, 1, 2], [2.0, 1.0, 2.0, 1.0])
+    solved = _record_solved_blocks(monkeypatch)
+    dec = eigendecompose(h, k=2, seed=1234)
+    assert [m.shape[0] for m in solved] == [1, 2]
+    assert dec.eigenvalues.tolist() == [1.0, 1.0]
+    assert np.flatnonzero(dec.eigenvectors[:, 0]).tolist() == [0, 1]
+    assert np.flatnonzero(dec.eigenvectors[:, 1]).tolist() == [2]
+    _assert_skips_are_certified(h, 2, dec, solved)
+
+
+@pytest.mark.parametrize("k", [1, None])
+def test_a_solver_that_misses_a_blocks_lowest_pair_is_refused(monkeypatch, k):
+    # a dense solver that returns only the upper pair of [[0, 0.1], [0.1, 5]]
+    # meets the residual and orthonormality contracts, but the value it
+    # returns, about 5.002, lies above the least diagonal entry 0, a
+    # Rayleigh quotient and so an upper bound on the lowest eigenvalue
+    import scipy.linalg
+
+    real = np.linalg.eigh
+
+    def dropping(matrix, **kwargs):
+        values, vectors = real(matrix)
+        return values[1:], vectors[:, 1:]
+
+    monkeypatch.setattr(scipy.linalg, "eigh", dropping)
+    monkeypatch.setattr(np.linalg, "eigh", dropping)
+    h = HermitianOperator.from_dense([[0.0, 0.1], [0.1, 5.0]])
+    with pytest.raises(NumericalError, match="missed the block's lowest pair"):
+        eigendecompose(h, k)
 
 
 def test_ground_state_phase_is_deterministic():

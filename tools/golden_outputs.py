@@ -203,6 +203,10 @@ CASES = [
     ("witness-tiny-frequency", ["witness"], {
         "params": {"omega_a": 1e-200, "omega_b": 1e-200, "g": 1e-201},
     }),
+    # 4 lambda^2 / (omega_a omega_b) = 4e1200 has no float: an unstable model
+    ("spectrum-unstable-beyond-float-range", ["spectrum"], {
+        "params": {"omega_a": 1e-300, "omega_b": 1e-300, "g": 1e300},
+    }),
 ]
 
 
