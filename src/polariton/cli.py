@@ -254,7 +254,7 @@ def _parse_config(args) -> RunConfig:
         blocks[name] = {k: _read(kinds[k], v, f"{name}.{k}") for k, v in raw[name].items()}
 
     model = blocks.get("model", "bilinear")
-    if model not in QUANTUM_MODELS + ("classical", "semiclassical"):
+    if model not in QUANTUM_MODELS + ("classical",):
         raise ConfigurationError(f"unknown model '{model}'")
 
     params = ModelParams(**_filled(blocks, "params", omega_a=1.0, omega_b=1.0, g=0.2, n_atoms=1))
@@ -404,18 +404,23 @@ def _emit(cfg: RunConfig, stem: str, result: Result) -> None:
             (cfg.out_dir / f"{stem}{suffix}.svg").write_text(chart)
 
 
-def _emit_points(cfg: RunConfig, verb: str, swept: bool, results) -> None:
+def _emit_points(cfg: RunConfig, verb: str, name, points, results, headers=()) -> None:
+    """Write each point's files, stem {verb} or {verb}_{i:03d} in a sweep, and
+    with headers {verb}_summary.csv: the sweep axis (the point index when
+    nothing is swept), then one column per header, read from the payload key
+    that the header starts with."""
     for i, result in enumerate(results):
-        _emit(cfg, f"{verb}_{i:03d}" if swept else verb, result)
+        _emit(cfg, f"{verb}_{i:03d}" if name else verb, result)
+    if headers:
+        axis = {name: [value for value, _ in points]} if name else {"point": range(len(points))}
+        table = {**axis, **{h: [r.payload[h.split()[0]] for r in results] for h in headers}}
+        _emit(cfg, f"{verb}_summary", Result(tables={"": table}))
 
 
-def _emit_summary(cfg: RunConfig, verb: str, name, points, results, *headers) -> None:
-    """Write {verb}_summary.csv: the sweep axis (the point index when nothing
-    is swept), then one column per header, read from the payload key that the
-    header starts with."""
-    axis = {name: [value for value, _ in points]} if name else {"point": range(len(points))}
-    table = {**axis, **{h: [r.payload[h.split()[0]] for r in results] for h in headers}}
-    _emit(cfg, f"{verb}_summary", Result(tables={"": table}))
+def _require_model(cfg: RunConfig, what: str, models) -> None:
+    """Refuse a run whose configured model the verb does not build."""
+    if cfg.model not in models:
+        raise ConfigurationError(f"{what} builds only {list(models)}, not model '{cfg.model}'")
 
 
 # ------------------------------------------------------------------- verbs
@@ -453,15 +458,11 @@ def _spectrum_point(cfg, params) -> Result:
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     if cfg.model == "classical":
         return cmd_classical(cfg, args)
-    if cfg.model == "semiclassical":
-        raise ConfigurationError("spectrum needs a quantum model or 'classical'")
     name, points = _sweep_points(cfg, classical=False)
     results = [_spectrum_point(cfg, params) for _, params in points]
-    _emit_points(cfg, "spectrum", bool(name), results)
-    if name:
-        _emit_summary(cfg, "spectrum", name, points, results,
-                      "ground_energy [hbar=1 input frequency units]",
-                      "first_gap [hbar=1 input frequency units]")
+    headers = ("ground_energy [hbar=1 input frequency units]",
+               "first_gap [hbar=1 input frequency units]")
+    _emit_points(cfg, "spectrum", name, points, results, headers if name else ())
     print(f"spectrum: wrote {len(results)} point(s) to {cfg.out_dir}")
     return 0
 
@@ -495,6 +496,7 @@ def _witness_point(cfg, params) -> Result:
 
 
 def cmd_witness(cfg: RunConfig, args) -> int:
+    _require_model(cfg, "witness", ("bilinear",))
     name, points = _sweep_points(cfg, classical=False)
     try:
         results = [_witness_point(cfg, params) for _, params in points]
@@ -502,31 +504,30 @@ def cmd_witness(cfg: RunConfig, args) -> int:
         _emit(cfg, "witness", Result({"status": "refused", "reason": str(exc)}))
         print(f"witness: refused ({exc})", file=sys.stderr)
         return 1
-    _emit_points(cfg, "witness", bool(name), results)
-    _emit_summary(cfg, "witness", name, points, results,
-                  "witness_value [hbar=1 input frequency units]", "verdict",
-                  "entropy_fock [1]", "entropy_gaussian [1]", "entropy_predicted [1]")
+    _emit_points(cfg, "witness", name, points, results,
+                 ("witness_value [hbar=1 input frequency units]", "verdict",
+                  "entropy_fock [1]", "entropy_gaussian [1]", "entropy_predicted [1]"))
     verdicts = ", ".join(r.payload["verdict"] for r in results)
     print(f"witness: {verdicts} (files in {cfg.out_dir})")
     return 0
 
 
 def _rabi_flop(cfg, params):
-    model = cfg.model if cfg.model in QUANTUM_MODELS else "bilinear"
+    _require_model(cfg, "rabi-flop", QUANTUM_MODELS)
     # dt must resolve the spectral radius of the default truncation
     grid = dataclasses.replace(TimeGrid(32768, 0.01), **cfg.grid)
-    spec = _hilbert(cfg, model, params, FLOP_PHOTON_CUTOFF[model])
-    traj = rabi_flop_signal(params, grid, model=model, spec=spec, seed=cfg.seed)
+    spec = _hilbert(cfg, cfg.model, params, FLOP_PHOTON_CUTOFF[cfg.model])
+    traj = rabi_flop_signal(params, grid, model=cfg.model, spec=spec, seed=cfg.seed)
     spectrum = flop_spectrum(traj, channel="matter_excitation")
     peak = float(spectrum.frequencies[int(np.argmax(spectrum.intensities))])
     payload = {
-        "model": model,
+        "model": cfg.model,
         "collective_coupling": params.collective_coupling,
         "dominant_frequency": peak,
     }
-    if model == "bilinear":
+    if cfg.model == "bilinear":
         payload["normal_mode_splitting"] = normal_modes(params).splitting
-    if model == "jc-rwa":
+    if cfg.model == "jc-rwa":
         payload["single_excitation_splitting"] = 2.0 * params.collective_coupling
     tables = {
         "": {"time [1/input frequency]": traj.times,
@@ -540,6 +541,7 @@ def _rabi_flop(cfg, params):
 
 
 def _semiclassical(cfg, params):
+    _require_model(cfg, "semiclassical", ("bilinear",))
     grid = dataclasses.replace(TimeGrid(20000, 0.01), **cfg.grid)
     traj = semiclassical_trajectory(params, cfg.initial_a, cfg.initial_b, grid)
     a, b, energy = (traj.channels[key] for key in ("a", "b", "energy"))
@@ -561,6 +563,7 @@ def _semiclassical(cfg, params):
 
 
 def _vacuum_correlation(cfg, params):
+    _require_model(cfg, "vacuum-correlation", ("bilinear",))
     grid = dataclasses.replace(TimeGrid(8192, 0.05), **cfg.grid)
     spec = _hilbert(cfg, "bilinear", params, 12)
     spectrum = vacuum_correlation_spectrum(params, grid, spec=spec, seed=cfg.seed)
@@ -637,10 +640,8 @@ def cmd_classical(cfg: RunConfig, args) -> int:
         raise ConfigurationError("classical runs need a cavity block in the config")
     name, points = _sweep_points(cfg, classical=True)
     results = [_classical_point(cfg, cavity) for _, cavity in points]
-    _emit_points(cfg, "classical", bool(name), results)
-    if name:
-        _emit_summary(cfg, "classical", name, points, results,
-                      "splitting [rad/s]", "predicted_splitting [rad/s]", "flag")
+    headers = ("splitting [rad/s]", "predicted_splitting [rad/s]", "flag")
+    _emit_points(cfg, "classical", name, points, results, headers if name else ())
     flags = ", ".join(r.payload["flag"] for r in results)
     print(f"classical: {flags} (files in {cfg.out_dir})")
     return 0
@@ -681,6 +682,10 @@ def _log_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
 
 
+def _check(name: str, tolerance: float, measured: dict, passed) -> dict:
+    return {"name": name, "tolerance": tolerance, "measured": measured, "passed": bool(passed)}
+
+
 def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
     """The five standing cross-checks with their measured values."""
     checks = []
@@ -690,14 +695,9 @@ def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
     worst_exact = max(hp_exactness_error(SpinRep(j)) for j in js)
     worst_comm = max(commutator_residual(SpinRep(j)) for j in js)
     tol = tolerances["hp_exactness"]
-    checks.append(
-        {
-            "name": "hp_exactness",
-            "tolerance": tol,
-            "measured": {"max_map_error": worst_exact, "max_commutator_residual": worst_comm},
-            "passed": worst_exact <= tol and worst_comm <= tol,
-        }
-    )
+    checks.append(_check("hp_exactness", tol,
+                         {"max_map_error": worst_exact, "max_commutator_residual": worst_comm},
+                         worst_exact <= tol and worst_comm <= tol))
 
     # 2. cutoff ladder and gap agreement with the normal modes
     params = ModelParams.from_collective(1.0, 1.0, 0.2)
@@ -710,18 +710,11 @@ def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
     gap_lo = abs(float(dec.eigenvalues[1] - dec.eigenvalues[0]) - modes.omega_minus)
     gap_hi = abs(float(dec.eigenvalues[2] - dec.eigenvalues[0]) - modes.omega_plus)
     gtol = tolerances["gap_vs_normal_modes"]
-    checks.append(
-        {
-            "name": "cutoff_convergence",
-            "tolerance": tolerances["cutoff_final_delta"],
-            "measured": {
-                "final_delta": ladder.final_delta,
-                "gap_error_lower": gap_lo,
-                "gap_error_upper": gap_hi,
-            },
-            "passed": bool(ladder.converged and gap_lo <= gtol and gap_hi <= gtol),
-        }
-    )
+    checks.append(_check(
+        "cutoff_convergence", tolerances["cutoff_final_delta"],
+        {"final_delta": ladder.final_delta, "gap_error_lower": gap_lo, "gap_error_upper": gap_hi},
+        ladder.converged and gap_lo <= gtol and gap_hi <= gtol,
+    ))
 
     # 3. entropy route agreement
     worst_gap = 0.0
@@ -733,32 +726,17 @@ def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
         gauss = gaussian_linear_entropy(gaussian_ground_state(p), "photon")
         worst_gap = max(worst_gap, abs(fock - gauss))
     tol = tolerances["cross_route_entropy"]
-    checks.append(
-        {
-            "name": "cross_route_entropy",
-            "tolerance": tol,
-            "measured": {"max_route_gap": worst_gap},
-            "passed": worst_gap <= tol,
-        }
-    )
+    checks.append(_check("cross_route_entropy", tol, {"max_route_gap": worst_gap}, worst_gap <= tol))
 
     # 4. classical transmission versus quantum normal modes
     cavity = reference_cavity()
     agreement = classical_quantum_agreement(cavity)
     tol = tolerances["classical_quantum"]
-    ok = agreement.flag == "split" and agreement.relative_deviation <= tol
-    checks.append(
-        {
-            "name": "classical_quantum",
-            "tolerance": tol,
-            "measured": {
-                "relative_deviation": agreement.relative_deviation,
-                "classical_splitting": agreement.classical_splitting,
-                "quantum_splitting": agreement.quantum_splitting,
-            },
-            "passed": bool(ok),
-        }
-    )
+    checks.append(_check("classical_quantum", tol, {
+        "relative_deviation": agreement.relative_deviation,
+        "classical_splitting": agreement.classical_splitting,
+        "quantum_splitting": agreement.quantum_splitting,
+    }, agreement.flag == "split" and agreement.relative_deviation <= tol))
 
     # 5. square-root scaling of the splitting with dipole number
     fit_cavity = reference_cavity(
@@ -783,14 +761,7 @@ def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
     if classical_slope is None:
         unresolved = [n for n, s in zip(n_values, splittings) if s is None]
         measured["classical_slope_reason"] = f"no resolved splitting at n_dipoles {unresolved}"
-    checks.append(
-        {
-            "name": "sqrt_n_fit",
-            "tolerance": tol,
-            "measured": measured,
-            "passed": bool(ok),
-        }
-    )
+    checks.append(_check("sqrt_n_fit", tol, measured, ok))
 
     return {
         "seed": seed,
@@ -824,41 +795,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--out", help="output directory (overrides config)")
-    sub.add_argument("--format", help="comma list from csv,json,svg")
-    sub.add_argument("--seed", type=int, help="eigensolver seed")
+# verb: (handler, help, what --sweep runs over; None where it takes no sweep)
+_VERBS = {
+    "spectrum": (cmd_spectrum, "eigenvalue tables or classical spectra", "a parameter"),
+    "witness": (cmd_witness, "entanglement witness and linear entropy", "a parameter"),
+    "dynamics": (cmd_dynamics, "time evolution and spectra", None),
+    "classical": (cmd_classical, "multi-beam interference transmission", "a cavity parameter"),
+    "verify": (cmd_verify, "run the standing cross-check suite", None),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polariton", description=__doc__)
     subs = parser.add_subparsers(dest="verb", parser_class=_Parser)
-
-    sp = subs.add_parser("spectrum", help="eigenvalue tables or classical spectra")
-    _add_common(sp)
-    sp.add_argument("--sweep", help="NAME=v1,v2,... over a parameter")
-    sp.set_defaults(handler=cmd_spectrum)
-
-    wp = subs.add_parser("witness", help="entanglement witness and linear entropy")
-    _add_common(wp)
-    wp.add_argument("--sweep", help="NAME=v1,v2,... over a parameter")
-    wp.set_defaults(handler=cmd_witness)
-
-    dp = subs.add_parser("dynamics", help="time evolution and spectra")
-    dp.add_argument("kind", choices=tuple(_DYNAMICS))
-    _add_common(dp)
-    dp.set_defaults(handler=cmd_dynamics)
-
-    cp = subs.add_parser("classical", help="multi-beam interference transmission")
-    _add_common(cp)
-    cp.add_argument("--sweep", help="NAME=v1,v2,... over a cavity parameter")
-    cp.set_defaults(handler=cmd_classical)
-
-    vp = subs.add_parser("verify", help="run the standing cross-check suite")
-    _add_common(vp)
-    vp.set_defaults(handler=cmd_verify)
-
+    for verb, (handler, help_text, axis) in _VERBS.items():
+        sub = subs.add_parser(verb, help=help_text)
+        if verb == "dynamics":
+            sub.add_argument("kind", choices=tuple(_DYNAMICS))
+        sub.add_argument("--config", help="JSON config file")
+        sub.add_argument("--out", help="output directory (overrides config)")
+        sub.add_argument("--format", help="comma list from csv,json,svg")
+        sub.add_argument("--seed", type=int, help="eigensolver seed")
+        if axis:
+            sub.add_argument("--sweep", help=f"NAME=v1,v2,... over {axis}")
+        sub.set_defaults(handler=handler)
     return parser
 
 

@@ -15,6 +15,7 @@ Conventions used throughout the package (hbar = 1):
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ from .errors import ConfigurationError, DomainError, NumericalError
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
+# a lower bound on what assembling an operator costs per basis state; the
+# builders peak at 72-193 B per state under tracemalloc near dimension 10^6
+BUILD_BYTES_PER_STATE = 64
 
 
 @dataclass(frozen=True)
@@ -291,12 +295,18 @@ def _identities(spec: HilbertSpec):
     """Sparse identities on the photon and matter factors.  scipy's graph and
     LU kernels index with C int, so a larger product dimension could never be
     solved; it is refused as the failed allocation it would become, before
-    anything is allocated."""
+    anything is allocated.  So is one whose lower-bound cost exceeds the
+    physical memory."""
     if spec.dimension > np.iinfo(np.intc).max:
         raise MemoryError(
             f"cannot index a Hamiltonian of dimension {spec.photon_dim:.6g} x "
             f"{spec.matter_dim:.6g} with C int"
         )
+    need = spec.dimension * BUILD_BYTES_PER_STATE
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise MemoryError(f"a Hamiltonian of dimension {spec.dimension} needs at least {need:.3g} "
+                          f"bytes, more than the {memory:.3g} bytes of physical memory")
     return (_band(spec.photon_dim, (0, np.ones(spec.photon_dim))),
             _band(spec.matter_dim, (0, np.ones(spec.matter_dim))))
 

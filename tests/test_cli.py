@@ -1105,3 +1105,77 @@ def test_text_cells_refuse_a_nul():
 
     with pytest.raises(ValueError, match="NUL"):
         svg._text_layout(["ok", "a\0b"])
+
+
+_EVERY_VERB = [["spectrum"], ["witness"], ["dynamics", "rabi-flop"], ["classical"], ["verify"]]
+
+
+@pytest.mark.parametrize("argv", _EVERY_VERB, ids=lambda argv: argv[0])
+def test_every_verb_accepts_the_common_flags(argv):
+    from polariton.cli import _build_parser
+
+    flags = ["--config", "run.json", "--out", "o", "--format", "csv", "--seed", "7"]
+    args = _build_parser().parse_args([*argv, *flags])
+    assert (args.config, args.out, args.format, args.seed) == ("run.json", "o", "csv", 7)
+
+
+@pytest.mark.parametrize("argv", _EVERY_VERB, ids=lambda argv: argv[0])
+def test_sweep_flag_belongs_to_the_verbs_that_sweep(tmp_path, capsys, argv):
+    from polariton.cli import _build_parser
+
+    if argv[0] in ("spectrum", "witness", "classical"):
+        assert _build_parser().parse_args([*argv, "--sweep", "g=0.1,0.2"]).sweep == "g=0.1,0.2"
+        return
+    assert main([*argv, "--sweep", "g=0.1,0.2", "--out", str(tmp_path / "o")]) == 1
+    assert "unrecognized arguments: --sweep" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bare_command_prints_every_verb_and_exits_one(capsys):
+    assert main([]) == 1
+    usage = capsys.readouterr().out
+    assert "{spectrum,witness,dynamics,classical,verify}" in usage
+
+
+_REFUSED_MODELS = [
+    *((["witness"], model) for model in ("dicke", "jc-rwa", "classical")),
+    *((["dynamics", kind], model)
+      for kind in ("vacuum-correlation", "semiclassical") for model in ("dicke", "jc-rwa", "classical")),
+    (["dynamics", "rabi-flop"], "classical"),
+    # semiclassical names no Hamiltonian, whatever the verb
+    *((argv, "semiclassical") for argv in _EVERY_VERB),
+    (["dynamics", "semiclassical"], "semiclassical"),
+    (["dynamics", "vacuum-correlation"], "semiclassical"),
+]
+
+
+@pytest.mark.parametrize("argv, model", _REFUSED_MODELS,
+                         ids=[f"{argv[-1]}-{model}" for argv, model in _REFUSED_MODELS])
+def test_a_verb_never_runs_another_model_than_the_config_names(tmp_path, capsys, argv, model):
+    config = {"model": model, "params": {"g": 0.1}, "grid": {"n_samples": 1024}}
+    if argv == ["classical"]:
+        config["cavity"] = _cavity_block()
+    path = _write_config(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", path, "--format", "csv,json,svg", "--out", str(out)]) == 1
+    assert f"'{model}'" in capsys.readouterr().err
+    assert not (out.exists() and any(out.iterdir()))
+
+
+def test_a_build_that_cannot_fit_is_refused_before_it_allocates(tmp_path, capsys, monkeypatch):
+    from polariton import model
+
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 10 if name == "SC_PHYS_PAGES" else sysconf(name))
+    # ten pages hold the default bilinear operator of 169 states
+    assert main(["spectrum", "--out", str(tmp_path / "small")]) == 0
+
+    def unreachable(terms):
+        raise AssertionError("the operator was assembled")
+
+    monkeypatch.setattr(model, "_kron_sum", unreachable)
+    path = _write_config(tmp_path / "big.json", {"hilbert": {"photon_cutoff": 316}})  # 100489 states
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path / "big")]) == 2
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "100489" in err
+    assert not any((tmp_path / "big").iterdir())

@@ -207,6 +207,14 @@ CASES = [
     ("spectrum-unstable-beyond-float-range", ["spectrum"], {
         "params": {"omega_a": 1e-300, "omega_b": 1e-300, "g": 1e300},
     }),
+    # a verb that does not build the configured model refuses it
+    ("witness-dicke-refused", ["witness"], {"model": "dicke", "params": {"g": 0.1, "n_atoms": 4}}),
+    ("vacuum-correlation-dicke-refused", ["dynamics", "vacuum-correlation", *ALL_FORMATS], {
+        "model": "dicke",
+        "params": {"g": 0.1, "n_atoms": 4},
+    }),
+    ("rabi-flop-classical-refused", ["dynamics", "rabi-flop", *ALL_FORMATS], {"model": "classical"}),
+    ("spectrum-semiclassical-model-refused", ["spectrum"], {"model": "semiclassical"}),
 ]
 
 
