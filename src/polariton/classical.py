@@ -93,30 +93,6 @@ class CavityParams:
         r = self.reflectivity
         return math.pi * r / (1.0 - r * r)
 
-    @classmethod
-    def resonant(
-        cls,
-        omega_b,
-        *,
-        reflectivity,
-        area,
-        n_dipoles,
-        dipole_moment,
-        gamma,
-    ):
-        """Empty-host cavity (background index 1) whose first longitudinal
-        mode sits exactly at the dipole resonance."""
-        return cls(
-            length=math.pi * SPEED_OF_LIGHT / omega_b,
-            reflectivity=reflectivity,
-            background_index=1.0,
-            area=area,
-            n_dipoles=n_dipoles,
-            dipole_moment=dipole_moment,
-            omega_b=omega_b,
-            gamma=gamma,
-        )
-
 
 @dataclass(frozen=True)
 class PeakReport:

@@ -71,7 +71,6 @@ from .witness import (
     witness_evaluate,
 )
 
-QUANTUM_MODELS = tuple(BUILDERS)
 ALL_FORMATS = ("csv", "json", "svg")
 
 VERIFY_TOLERANCES = {
@@ -181,17 +180,19 @@ _BLOCK_KEYS = {
     "freq_grid": {"min": float, "max": float, "n": int},
     "spectrum": {"n_eigenvalues": int},
     "initial": {"a_re": float, "a_im": float, "b_re": float, "b_im": float},
-    "sweep": {"name": None, "values": None},
-    "output": {"dir": None, "formats": None},
+    "sweep": {"name": None, "values": list},
+    "output": {"dir": None, "formats": list},
     "verify": {"tolerances": None},
 }
 
 
 def _read(kind, value, where: str):
-    """value read as kind.  A number key refuses a bool and anything float()
-    cannot read; an int key refuses a non-integral number instead of
-    rounding it."""
-    if kind is None:
+    """value read as kind.  A list key refuses anything but a JSON array; a
+    number key refuses a bool and anything float() cannot read; an int key
+    refuses a non-integral number instead of rounding it."""
+    if kind is list and not isinstance(value, list):
+        raise TypeError(f"{where} must be a JSON array, got {value!r}")
+    if kind is None or kind is list:
         return value
     try:
         number = float(value)
@@ -254,7 +255,7 @@ def _parse_config(args) -> RunConfig:
         blocks[name] = {k: _read(kinds[k], v, f"{name}.{k}") for k, v in raw[name].items()}
 
     model = blocks.get("model", "bilinear")
-    if model not in QUANTUM_MODELS + ("classical",):
+    if model not in (*BUILDERS, "classical"):
         raise ConfigurationError(f"unknown model '{model}'")
 
     params = ModelParams(**_filled(blocks, "params", omega_a=1.0, omega_b=1.0, g=0.2, n_atoms=1))
@@ -354,8 +355,8 @@ def _parse_config(args) -> RunConfig:
 
 
 def _hilbert(cfg: RunConfig, model: str, params: ModelParams, cutoff: int) -> HilbertSpec:
-    """The configured truncation; a key the hilbert block omits follows
-    model.default_spec at the caller's photon cutoff."""
+    """The configured truncation; a photon_cutoff the hilbert block omits is
+    the caller's, a matter_dim it omits follows model.default_spec."""
     cutoff = cfg.hilbert.get("photon_cutoff", cutoff)
     return dataclasses.replace(default_spec(model, params, cutoff), **cfg.hilbert)
 
@@ -467,13 +468,20 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _witness_point(cfg, params) -> Result:
-    spec = _hilbert(cfg, "bilinear", params, 16)
+def _bilinear_ground(params, spec, seed):
+    """The bilinear Hamiltonian, its ground energy and state, and the photon's
+    linear entropy along the Fock and the Gaussian route."""
     h = build_bilinear_hamiltonian(params, spec)
-    energy, state = ground_state(h, seed=cfg.seed)
-    verdict = witness_evaluate(h, state, params)
+    energy, state = ground_state(h, seed=seed)
     fock = linear_entropy(reduced_density(state, spec, "photon"))
     gaussian = gaussian_linear_entropy(gaussian_ground_state(params), "photon")
+    return h, energy, state, fock, gaussian
+
+
+def _witness_point(cfg, params) -> Result:
+    spec = _hilbert(cfg, "bilinear", params, 16)
+    h, energy, state, fock, gaussian = _bilinear_ground(params, spec, cfg.seed)
+    verdict = witness_evaluate(h, state, params)
     gap, tol = abs(fock - gaussian), cfg.verify_tolerances["cross_route_entropy"]
     if not (gap <= tol):
         raise NumericalError(
@@ -513,7 +521,7 @@ def cmd_witness(cfg: RunConfig, args) -> int:
 
 
 def _rabi_flop(cfg, params):
-    _require_model(cfg, "rabi-flop", QUANTUM_MODELS)
+    _require_model(cfg, "rabi-flop", BUILDERS)
     # dt must resolve the spectral radius of the default truncation
     grid = dataclasses.replace(TimeGrid(32768, 0.01), **cfg.grid)
     spec = _hilbert(cfg, cfg.model, params, FLOP_PHOTON_CUTOFF[cfg.model])
@@ -668,14 +676,9 @@ def reference_cavity(
     # amplitude reflectivity from finesse = pi r / (1 - r^2)
     coef = math.pi / finesse
     r = (-coef + math.sqrt(coef * coef + 4.0)) / 2.0
-    return CavityParams.resonant(
-        omega_b,
-        reflectivity=r,
-        area=area,
-        n_dipoles=n_dipoles,
-        dipole_moment=dipole,
-        gamma=gamma_fraction * omega_b,
-    )
+    return CavityParams(length=length, reflectivity=r, background_index=1.0, area=area,
+                        n_dipoles=n_dipoles, dipole_moment=dipole, omega_b=omega_b,
+                        gamma=gamma_fraction * omega_b)
 
 
 def _log_slope(xs, ys) -> float:
@@ -720,11 +723,8 @@ def run_verification(tolerances: dict, seed: int = DEFAULT_SEED) -> dict:
     worst_gap = 0.0
     for lam in (0.05, 0.1, 0.2, 0.3):
         p = ModelParams.from_collective(1.0, 1.0, lam)
-        spec = default_spec("bilinear", p, 16)
-        _, state = ground_state(build_bilinear_hamiltonian(p, spec), seed=seed)
-        fock = linear_entropy(reduced_density(state, spec, "photon"))
-        gauss = gaussian_linear_entropy(gaussian_ground_state(p), "photon")
-        worst_gap = max(worst_gap, abs(fock - gauss))
+        *_, fock, gaussian = _bilinear_ground(p, default_spec("bilinear", p, 16), seed)
+        worst_gap = max(worst_gap, abs(fock - gaussian))
     tol = tolerances["cross_route_entropy"]
     checks.append(_check("cross_route_entropy", tol, {"max_route_gap": worst_gap}, worst_gap <= tol))
 

@@ -127,7 +127,6 @@ class GapComparison:
     """Relative deviation of the first excitation gap, finite ladder versus
     bosonic limit, along an N sweep at fixed collective coupling."""
 
-    n_values: tuple
     dicke_gaps: tuple
     bilinear_gap: float
     relative_errors: tuple
@@ -169,7 +168,6 @@ def dicke_vs_bilinear_gap(
         gaps.append(gap)
         errors.append(abs(gap - bilinear_gap) / bilinear_gap)
     return GapComparison(
-        n_values=n_values,
         dicke_gaps=tuple(gaps),
         bilinear_gap=bilinear_gap,
         relative_errors=tuple(errors),

@@ -349,10 +349,7 @@ def normal_modes(params: ModelParams) -> NormalModes:
     form = np.array([[wa**2, off], [off, wb**2]])
     mu, vecs = np.linalg.eigh(form)
     # deterministic column signs: largest component positive
-    for col in range(2):
-        piv = int(np.argmax(np.abs(vecs[:, col])))
-        if vecs[piv, col] < 0.0:
-            vecs[:, col] = -vecs[:, col]
+    vecs *= np.where(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]] < 0.0, -1.0, 1.0)
     return NormalModes(
         omega_minus=float(math.sqrt(mu[0]) / unit),
         omega_plus=float(math.sqrt(mu[1]) / unit),
@@ -371,7 +368,6 @@ def ground_energy_bilinear(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    cutoffs: tuple
     values: tuple
     deltas: tuple
     tol: float
@@ -416,9 +412,7 @@ def cutoff_convergence(
         else:
             values.append(float(dec.eigenvalues[1] - dec.eigenvalues[0]))
     deltas = tuple(abs(b - a) for a, b in zip(values, values[1:]))
-    return ConvergenceReport(
-        cutoffs=cutoffs, values=tuple(values), deltas=deltas, tol=tol
-    )
+    return ConvergenceReport(values=tuple(values), deltas=deltas, tol=tol)
 
 
 def jc_polariton_splitting(params: ModelParams, *, seed: int = DEFAULT_SEED) -> float:

@@ -59,8 +59,6 @@ class SeparableScan:
     minimum: float
     at_alpha: float
     at_beta: float
-    radius: float
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -121,16 +119,11 @@ class GaussianState:
         return 1.0 / (4.0 * math.sqrt(det))
 
     def reduced_covariance(self, keep: str) -> np.ndarray:
-        idx = _keep_indices(keep, gaussian=True)
-        return self.covariance[np.ix_(idx, idx)]
-
-
-def _keep_indices(keep: str, *, gaussian: bool):
-    if keep == "photon":
-        return (0, 1) if gaussian else 0
-    if keep == "matter":
-        return (2, 3) if gaussian else 1
-    raise ConfigurationError(f"keep must be 'photon' or 'matter', got '{keep}'")
+        if keep == "photon":
+            return self.covariance[:2, :2].copy()
+        if keep == "matter":
+            return self.covariance[2:, 2:].copy()
+        raise ConfigurationError(f"keep must be 'photon' or 'matter', got '{keep}'")
 
 
 def _require_resonance(params: ModelParams, what: str) -> None:
@@ -190,8 +183,6 @@ def separable_bound_scan(
         minimum=float(energy[i, k]),
         at_alpha=float(grid[i]),
         at_beta=float(grid[k]),
-        radius=float(radius),
-        n_points=int(n_points),
     )
 
 
@@ -202,23 +193,25 @@ def reduced_density(state: StateVector, spec: HilbertSpec, keep: str) -> Density
             f"state dimension {state.dim} does not match the basis "
             f"{spec.photon_dim} x {spec.matter_dim} = {spec.dimension}"
         )
-    which = _keep_indices(keep, gaussian=False)
     psi = state.amplitudes.reshape(spec.photon_dim, spec.matter_dim)
-    if which == 0:
-        rho = psi @ psi.conj().T
-    else:
-        rho = psi.T @ psi.conj()
-    return DensityMatrix(rho)
+    if keep == "photon":
+        return DensityMatrix(psi @ psi.conj().T)
+    if keep == "matter":
+        return DensityMatrix(psi.T @ psi.conj())
+    raise ConfigurationError(f"keep must be 'photon' or 'matter', got '{keep}'")
+
+
+def _floored(value: float) -> float:
+    """A linear entropy with rounding below zero set to zero; one below
+    -1e-12 means a purity above one and is refused."""
+    if value < -1e-12:
+        raise ConfigurationError(f"purity above one ({value:.3e}); invalid state")
+    return max(value, 0.0)
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
     """1 - Tr(rho^2); zero for pure states, at most 1 - 1/dim."""
-    value = 1.0 - rho.purity()
-    if value < 0.0:
-        if value < -1e-12:
-            raise ConfigurationError(f"purity above one ({value:.3e}); invalid state")
-        value = 0.0
-    return value
+    return _floored(1.0 - rho.purity())
 
 
 def linear_entropy_predicted(params: ModelParams) -> float:
@@ -268,10 +261,7 @@ def gaussian_linear_entropy(state: GaussianState, keep: str) -> float:
     det = float(np.linalg.det(block))
     if det <= 0.0:
         raise ConfigurationError(f"reduced covariance not positive (det = {det:.3e})")
-    value = 1.0 - 1.0 / (2.0 * math.sqrt(det))
-    if -1e-12 <= value < 0.0:
-        value = 0.0
-    return value
+    return _floored(1.0 - 1.0 / (2.0 * math.sqrt(det)))
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:

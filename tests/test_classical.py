@@ -23,6 +23,7 @@ from polariton.classical import (
     splitting_vs_n,
     transmission_spectrum,
 )
+from polariton.cli import reference_cavity
 from polariton.errors import ConfigurationError, DomainError
 from polariton.series import SpectrumSeries
 from polariton.spectral import normal_modes
@@ -31,8 +32,11 @@ OMEGA_B = 2.4e15  # rad/s
 
 
 def _cavity(**overrides) -> CavityParams:
+    """Empty-host cavity whose first longitudinal mode sits at OMEGA_B."""
     base = dict(
+        length=math.pi * LIGHT_SPEED / OMEGA_B,
         reflectivity=0.995,
+        background_index=1.0,
         area=1e-12,
         n_dipoles=100,
         dipole_moment=9.4e-27,
@@ -40,16 +44,18 @@ def _cavity(**overrides) -> CavityParams:
         gamma=6e12,
     )
     base.update(overrides)
-    return CavityParams.resonant(**base)
+    return CavityParams(**base)
 
 
 def test_resonant_constructor_hits_the_mode():
-    cav = _cavity()
+    cav = reference_cavity()
+    assert cav.omega_b == OMEGA_B
     assert cav.length == pytest.approx(math.pi * LIGHT_SPEED / OMEGA_B, rel=1e-14)
     assert cav.free_spectral_range == pytest.approx(OMEGA_B, rel=1e-14)
     assert cav.mode_volume == pytest.approx(cav.area * cav.length, rel=1e-15)
     r = cav.reflectivity
     assert cav.finesse == pytest.approx(math.pi * r / (1.0 - r * r), rel=1e-14)
+    assert cav.finesse == pytest.approx(300.0, rel=1e-12)
 
 
 def test_cavity_validation():

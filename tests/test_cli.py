@@ -365,6 +365,21 @@ def test_bad_verify_tolerance_exits_one(tmp_path, capsys, verb, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"model": "dicke", "sweep": {"name": "n_atoms", "values": "12"}}, "sweep.values"),
+    ({"sweep": {"name": "g", "values": {"0.1": 1}}}, "sweep.values"),
+    ({"output": {"formats": "csv"}}, "output.formats"),
+    ({"output": {"formats": {"json": True}}}, "output.formats"),
+], ids=["values-string", "values-object", "formats-string", "formats-object"])
+def test_a_list_key_refuses_anything_but_a_json_array(tmp_path, capsys, config, key):
+    # tuple() of a string or an object would sweep its characters or its keys
+    path = _write_config(tmp_path / "list.json", config)
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"config value cannot be read: {key} must be a JSON array" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("block, cls", [
     ("params", ModelParams), ("hilbert", HilbertSpec), ("cavity", CavityParams), ("grid", TimeGrid),
 ])

@@ -187,6 +187,18 @@ def test_gaussian_state_validation():
     assert gaussian_linear_entropy(vac, "photon") == pytest.approx(0.0, abs=1e-14)
 
 
+def test_both_entropy_routes_refuse_a_purity_above_one():
+    # each route clears rounding below zero and refuses anything below -1e-12
+    rho = DensityMatrix(np.diag([1.0 + 1e-11, -1e-11]))
+    with pytest.raises(ConfigurationError, match="purity above one"):
+        linear_entropy(rho)
+    state = GaussianState(np.zeros(4), np.diag([0.5 - 1e-10, 0.5, 0.5, 0.5]))
+    with pytest.raises(ConfigurationError, match="purity above one"):
+        gaussian_linear_entropy(state, "photon")
+    rounded = GaussianState(np.zeros(4), np.diag([0.5 - 1e-13, 0.5, 0.5, 0.5]))
+    assert gaussian_linear_entropy(rounded, "photon") == 0.0
+
+
 def test_thermal_occupation_values():
     assert thermal_occupation(1.0, 0.0) == 0.0
     assert thermal_occupation(10.0, 1.0) == pytest.approx(1.0 / math.expm1(10.0), rel=1e-12)

@@ -215,6 +215,8 @@ CASES = [
     }),
     ("rabi-flop-classical-refused", ["dynamics", "rabi-flop", *ALL_FORMATS], {"model": "classical"}),
     ("spectrum-semiclassical-model-refused", ["spectrum"], {"model": "semiclassical"}),
+    # a sweep's values must be a JSON array, not a string whose characters it would sweep
+    ("spectrum-sweep-values-string", ["spectrum"], {"sweep": {"name": "n_atoms", "values": "12"}}),
 ]
 
 
