@@ -20,7 +20,6 @@ from .classical import (
     transmission_spectrum,
 )
 from .dynamics import (
-    evolve,
     flop_spectrum,
     rabi_flop_signal,
     semiclassical_trajectory,
@@ -34,7 +33,6 @@ from .holstein_primakoff import (
     dicke_vs_bilinear_gap,
     hp_exactness_error,
     hp_operators,
-    linearization_error,
 )
 from .model import (
     HermitianOperator,

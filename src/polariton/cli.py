@@ -62,6 +62,7 @@ from .spectral import (
     normal_modes,
 )
 from .witness import (
+    _require_resonance,
     gaussian_ground_state,
     gaussian_linear_entropy,
     linear_entropy,
@@ -181,18 +182,19 @@ _BLOCK_KEYS = {
     "spectrum": {"n_eigenvalues": int},
     "initial": {"a_re": float, "a_im": float, "b_re": float, "b_im": float},
     "sweep": {"name": None, "values": list},
-    "output": {"dir": None, "formats": list},
+    "output": {"dir": str, "formats": list},
     "verify": {"tolerances": None},
 }
 
 
 def _read(kind, value, where: str):
-    """value read as kind.  A list key refuses anything but a JSON array; a
-    number key refuses a bool and anything float() cannot read; an int key
-    refuses a non-integral number instead of rounding it."""
-    if kind is list and not isinstance(value, list):
-        raise TypeError(f"{where} must be a JSON array, got {value!r}")
-    if kind is None or kind is list:
+    """value read as kind.  A list or str key refuses anything but a JSON array
+    or string; a number key refuses a bool and anything float() cannot read;
+    an int key refuses a non-integral number instead of rounding it."""
+    if kind in (list, str) and not isinstance(value, kind):
+        raise TypeError(f"{where} must be a JSON {'array' if kind is list else 'string'}, "
+                        f"got {value!r}")
+    if kind in (None, list, str):
         return value
     try:
         number = float(value)
@@ -480,6 +482,7 @@ def _bilinear_ground(params, spec, seed):
 
 def _witness_point(cfg, params) -> Result:
     spec = _hilbert(cfg, "bilinear", params, 16)
+    _require_resonance(params, "the separable energy floor")  # checked before anything is built
     h, energy, state, fock, gaussian = _bilinear_ground(params, spec, cfg.seed)
     verdict = witness_evaluate(h, state, params)
     gap, tol = abs(fock - gaussian), cfg.verify_tolerances["cross_route_entropy"]
@@ -526,7 +529,7 @@ def _rabi_flop(cfg, params):
     grid = dataclasses.replace(TimeGrid(32768, 0.01), **cfg.grid)
     spec = _hilbert(cfg, cfg.model, params, FLOP_PHOTON_CUTOFF[cfg.model])
     traj = rabi_flop_signal(params, grid, model=cfg.model, spec=spec, seed=cfg.seed)
-    spectrum = flop_spectrum(traj, channel="matter_excitation")
+    spectrum = flop_spectrum(traj)
     peak = float(spectrum.frequencies[int(np.argmax(spectrum.intensities))])
     payload = {
         "model": cfg.model,

@@ -1,5 +1,5 @@
-"""Closed-system dynamics: exact propagation, Rabi flopping, mean-field
-evolution, and the vacuum correlation spectrum.
+"""Closed-system dynamics: Rabi flopping, mean-field evolution, and the
+vacuum correlation spectrum.
 
 Every time series is an exact superposition of eigenmodes (no step-size
 error): quantum states through the eigendecomposition of H, and the
@@ -22,10 +22,8 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .model import (
     BUILDERS,
-    HermitianOperator,
     HilbertSpec,
     ModelParams,
-    StateVector,
     annihilation_matrix,
     build_bilinear_hamiltonian,
     default_spec,
@@ -33,18 +31,18 @@ from .model import (
 from .series import SpectrumSeries, TimeGrid, Trajectory
 from .spectral import DEFAULT_SEED, eigendecompose, normal_modes
 
-EVOLVE_DT_FACTOR = 0.5   # require dt * max|eigenvalue| < 0.5
-NORM_DRIFT_TOL = 1e-9
+DT_FACTOR = 0.5  # require dt * max|eigenvalue| < 0.5
+ENERGY_DRIFT_TOL = 1e-9
 # rows of the phase table in rabi_flop_signal, and samples per block of its
 # quadratic form, bounding the block temporaries
 _CHUNK = 1024
 
 
 def _check_dt(grid: TimeGrid, lambda_max: float) -> None:
-    if grid.dt * lambda_max >= EVOLVE_DT_FACTOR:
+    if grid.dt * lambda_max >= DT_FACTOR:
         raise ConfigurationError(
             f"dt = {grid.dt:.12g} too coarse for the spectral radius "
-            f"{lambda_max:.12g}; require dt * max|E| < {EVOLVE_DT_FACTOR}"
+            f"{lambda_max:.12g}; require dt * max|E| < {DT_FACTOR}"
         )
 
 
@@ -57,33 +55,6 @@ def _superpose(rates, modes, coeffs, times):
     np.exp(phases, out=phases)
     phases *= coeffs[live]
     return phases @ modes[:, live].T
-
-
-def evolve(
-    h: HermitianOperator,
-    psi0: StateVector,
-    grid: TimeGrid,
-    *,
-    seed: int = DEFAULT_SEED,
-) -> Trajectory:
-    """Propagate |psi0> under H across the grid via the eigenbasis.
-
-    Returns a trajectory with one complex channel "state" of shape
-    (n_samples, dim).  Norm drift beyond 1e-9 is treated as a failure."""
-    if h.dim != psi0.dim:
-        raise ConfigurationError(
-            f"operator dimension {h.dim} != state dimension {psi0.dim}"
-        )
-    dec = eigendecompose(h, seed=seed)
-    _check_dt(grid, float(np.max(np.abs(dec.eigenvalues))))
-    coeffs = dec.eigenvectors.conj().T @ psi0.amplitudes
-    times = grid.times
-    states = _superpose(-1j * dec.eigenvalues, dec.eigenvectors, coeffs, times)
-    norms = np.linalg.norm(states, axis=1)
-    drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > NORM_DRIFT_TOL:
-        raise ConfigurationError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}")
-    return Trajectory(times=times, channels={"state": states})
 
 
 # default photon cutoff of the flopping signal per model; the spin models
@@ -140,20 +111,18 @@ def rabi_flop_signal(
     return Trajectory(times=times, channels={"matter_excitation": signal})
 
 
-def flop_spectrum(traj: Trajectory, *, channel: str | None = None) -> SpectrumSeries:
-    """One-sided power spectrum |DFT|^2 of a mean-subtracted real channel.
+def flop_spectrum(traj: Trajectory) -> SpectrumSeries:
+    """One-sided power spectrum |DFT|^2 of the mean-subtracted real channel of
+    a one-channel trajectory.
 
     Frequencies are angular.  No window is applied, so the discrete Parseval
     identity holds exactly."""
-    if channel is None:
-        if len(traj.channels) != 1:
-            raise ConfigurationError(
-                f"trajectory has channels {sorted(traj.channels)}; pick one"
-            )
-        channel = next(iter(traj.channels))
-    if channel not in traj.channels:
-        raise ConfigurationError(f"no channel '{channel}' in trajectory")
-    signal = np.asarray(traj.channels[channel])
+    if len(traj.channels) != 1:
+        raise ConfigurationError(
+            f"trajectory has channels {sorted(traj.channels)}; need exactly one"
+        )
+    [(channel, signal)] = traj.channels.items()
+    signal = np.asarray(signal)
     if signal.ndim != 1:
         raise ConfigurationError(f"channel '{channel}' is not scalar-valued")
     if np.iscomplexobj(signal):
@@ -173,7 +142,7 @@ def semiclassical_trajectory(
 ) -> Trajectory:
     """Solve the factorized mean-field equations exactly: they are linear,
     dx/dt = G x in x = (Re a, Im a, Re b, Im b), so x(t) is the eigenmode
-    superposition of G.  An energy drift beyond NORM_DRIFT_TOL times
+    superposition of G.  An energy drift beyond ENERGY_DRIFT_TOL times
     max(1, max_t wa|a|^2 + wb|b|^2) is a failure, and so is a trajectory or
     energy that overflows.  Channels: complex "a" and "b" plus the conserved
     mean-field energy."""
@@ -200,7 +169,7 @@ def semiclassical_trajectory(
             f"omega_b = {wb:.12g}, lambda = {lam:.12g}"
         )
     drift = float(np.max(np.abs(energy - energy[0])))
-    tol = NORM_DRIFT_TOL * max(1.0, float(np.max(free)))
+    tol = ENERGY_DRIFT_TOL * max(1.0, float(np.max(free)))
     if not (drift <= tol):
         raise NumericalError(f"mean-field energy drift {drift:.3e} exceeds {tol:.3e}")
     return Trajectory(times=grid.times, channels={"a": a, "b": b, "energy": energy})

@@ -1,4 +1,4 @@
-"""Exact bosonization of the pseudo-spin ladder and its linearization.
+"""Exact bosonization of the pseudo-spin ladder and its bosonic limit.
 
 The spin-to-boson map used here is
 
@@ -20,7 +20,6 @@ unaffected; only the basis ordering is mirrored.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .model import (
     ModelParams,
-    annihilation_matrix,
     build_dicke_hamiltonian,
     default_spec,
     spin_ladder_matrices,
@@ -93,41 +91,11 @@ def commutator_residual(rep: SpinRep) -> float:
     return float(max(r1, r2, r3))
 
 
-def linearization_error(rep: SpinRep, n_low: int) -> float:
-    """Relative error of the bilinear replacement J_plus -> sqrt(2j) b,
-    J_minus -> sqrt(2j) b^dag on the low-excitation block.
-
-    Retained matrix elements are those landing on target states n <= n_low.
-    The worst deviation is 1 - sqrt(1 - n_low/2j), which scales as
-    O(n_low / 2j): doubling j halves the error asymptotically.
-    """
-    if int(n_low) != n_low or n_low < 0 or n_low > rep.two_j:
-        raise ConfigurationError(
-            f"n_low must be an integer in 0..{rep.two_j}, got {n_low}"
-        )
-    n_low = int(n_low)
-    j_plus, j_minus, _ = hp_operators(rep)
-    root = math.sqrt(rep.two_j)
-    b = annihilation_matrix(rep.dimension)
-    lin_plus = root * b
-    lin_minus = root * b.T
-    worst = 0.0
-    for exact, lin in ((j_plus, lin_plus), (j_minus, lin_minus)):
-        rows_e = exact[: n_low + 1]
-        rows_l = lin[: n_low + 1]
-        mask = rows_l != 0.0
-        if np.any(mask):
-            dev = np.abs(rows_l[mask] - rows_e[mask]) / np.abs(rows_l[mask])
-            worst = max(worst, float(dev.max()))
-    return worst
-
-
 @dataclass(frozen=True)
 class GapComparison:
     """Relative deviation of the first excitation gap, finite ladder versus
     bosonic limit, along an N sweep at fixed collective coupling."""
 
-    dicke_gaps: tuple
     bilinear_gap: float
     relative_errors: tuple
 
@@ -156,7 +124,6 @@ def dicke_vs_bilinear_gap(
     bilinear_gap = normal_modes(params).omega_minus
     lam = params.collective_coupling
 
-    gaps = []
     errors = []
     for n in n_values:
         dparams = ModelParams.from_collective(
@@ -165,10 +132,5 @@ def dicke_vs_bilinear_gap(
         dspec = default_spec("dicke", dparams, 8)
         ddec = eigendecompose(build_dicke_hamiltonian(dparams, dspec), 2, seed=seed)
         gap = float(ddec.eigenvalues[1] - ddec.eigenvalues[0])
-        gaps.append(gap)
         errors.append(abs(gap - bilinear_gap) / bilinear_gap)
-    return GapComparison(
-        dicke_gaps=tuple(gaps),
-        bilinear_gap=bilinear_gap,
-        relative_errors=tuple(errors),
-    )
+    return GapComparison(bilinear_gap=bilinear_gap, relative_errors=tuple(errors))

@@ -247,16 +247,10 @@ class StateVector:
         return self.amplitudes.size
 
     @classmethod
-    def basis_state(cls, dim: int, index: int) -> "StateVector":
-        if not (0 <= index < dim):
-            raise ConfigurationError(f"basis index {index} outside 0..{dim - 1}")
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
-    @classmethod
     def product_fock(cls, spec: HilbertSpec, n_photon: int, k_matter: int) -> "StateVector":
-        return cls.basis_state(spec.dimension, spec.index(n_photon, k_matter))
+        amps = np.zeros(spec.dimension, dtype=complex)
+        amps[spec.index(n_photon, k_matter)] = 1.0
+        return cls(amps)
 
 
 def _boson_ladder(dim: int):
@@ -270,7 +264,9 @@ def _boson_ladder(dim: int):
 def _spin_ladder(n_atoms: int):
     """m = -j, ..., j for j = N/2 and the J_plus amplitudes
     sqrt(j(j+1) - m(m+1)) for m < j.  The products m(m+1) are dyadic
-    rationals, so the sqrt arguments are computed exactly."""
+    rationals, so the sqrt arguments are exact while N(N+2) = 4 j(j+1) < 2^53,
+    i.e. N <= 94906264.  A full ladder that long needs over 12 GB by
+    BUILD_BYTES_PER_STATE, which _identities refuses on a smaller host."""
     j = n_atoms / 2.0
     m = -j + np.arange(n_atoms + 1)
     return m, np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))

@@ -28,10 +28,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_samples)
 
-    @property
-    def horizon(self) -> float:
-        return self.dt * (self.n_samples - 1)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -64,10 +60,6 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @property
-    def n_samples(self) -> int:
-        return self.times.size
-
 
 @dataclass(frozen=True)
 class SpectrumSeries:
@@ -87,7 +79,3 @@ class SpectrumSeries:
             raise ConfigurationError("intensities must be non-negative")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "intensities", vals)
-
-    @property
-    def size(self) -> int:
-        return self.frequencies.size

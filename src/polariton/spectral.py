@@ -368,7 +368,6 @@ def ground_energy_bilinear(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    values: tuple
     deltas: tuple
     tol: float
 
@@ -386,33 +385,25 @@ def cutoff_convergence(
     params: ModelParams,
     cutoffs,
     *,
-    observable: str = "ground_energy",
     tol: float = 1e-10,
     seed: int = DEFAULT_SEED,
 ) -> ConvergenceReport:
-    """Track an observable along a strictly increasing ladder of photon
+    """Track the ground energy along a strictly increasing ladder of photon
     cutoffs.  The bilinear matter block grows with the cutoff as well; the
-    spin models keep their fixed matter ladder.  Observable is
-    "ground_energy" or "first_gap"."""
+    spin models keep their fixed matter ladder."""
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) < 2:
         raise ConfigurationError("need at least two cutoffs to report deltas")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ConfigurationError(f"cutoffs must increase strictly, got {cutoffs}")
-    if observable not in ("ground_energy", "first_gap"):
-        raise ConfigurationError(f"unknown observable '{observable}'")
 
-    k = 1 if observable == "ground_energy" else 2
     values = []
     for cutoff in cutoffs:
         spec = default_spec(builder, params, cutoff)  # refuses an unknown builder
-        dec = eigendecompose(BUILDERS[builder](params, spec), k, seed=seed)
-        if observable == "ground_energy":
-            values.append(float(dec.eigenvalues[0]))
-        else:
-            values.append(float(dec.eigenvalues[1] - dec.eigenvalues[0]))
+        dec = eigendecompose(BUILDERS[builder](params, spec), 1, seed=seed)
+        values.append(float(dec.eigenvalues[0]))
     deltas = tuple(abs(b - a) for a, b in zip(values, values[1:]))
-    return ConvergenceReport(values=tuple(values), deltas=deltas, tol=tol)
+    return ConvergenceReport(deltas=deltas, tol=tol)
 
 
 def jc_polariton_splitting(params: ModelParams, *, seed: int = DEFAULT_SEED) -> float:

@@ -27,6 +27,9 @@ from .spectral import normal_modes
 
 WITNESS_TOL = 1e-9
 RESONANCE_TOL = 1e-12
+# half-width and points per axis of separable_bound_scan's amplitude grid
+SCAN_RADIUS = 2.0
+SCAN_POINTS = 41
 
 # symplectic form for the quadrature ordering (x_a, p_a, x_b, p_b)
 _SYMPLECTIC = np.array(
@@ -57,8 +60,6 @@ class SeparableScan:
     """Minimum of the mean energy over a grid of product coherent states."""
 
     minimum: float
-    at_alpha: float
-    at_beta: float
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,7 @@ def witness_evaluate(
     return WitnessVerdict(value=value, separable_floor=0.0, verdict=verdict)
 
 
-def separable_bound_scan(
-    params: ModelParams, *, radius: float = 2.0, n_points: int = 41
-) -> SeparableScan:
+def separable_bound_scan(params: ModelParams) -> SeparableScan:
     """Minimize the mean bilinear energy over product coherent states.
 
     For coherent amplitudes the mean energy is
@@ -164,26 +163,16 @@ def separable_bound_scan(
     both signs covers the minimizing family.  Inside the stability region
     the minimum is zero, reached at the origin.
     """
-    if not (radius > 0.0):
-        raise ConfigurationError(f"radius must be positive, got {radius}")
-    if n_points < 3:
-        raise ConfigurationError(f"n_points must be >= 3, got {n_points}")
     params.require_bilinear_stable()
     lam = params.collective_coupling
-    grid = np.linspace(-radius, radius, int(n_points))
+    grid = np.linspace(-SCAN_RADIUS, SCAN_RADIUS, SCAN_POINTS)
     alpha, beta = np.meshgrid(grid, grid, indexing="ij")
     energy = (
         params.omega_a * alpha**2
         + params.omega_b * beta**2
         + 4.0 * lam * alpha * beta
     )
-    flat = int(np.argmin(energy))
-    i, k = np.unravel_index(flat, energy.shape)
-    return SeparableScan(
-        minimum=float(energy[i, k]),
-        at_alpha=float(grid[i]),
-        at_beta=float(grid[k]),
-    )
+    return SeparableScan(minimum=float(energy.min()))
 
 
 def reduced_density(state: StateVector, spec: HilbertSpec, keep: str) -> DensityMatrix:

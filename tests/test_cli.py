@@ -131,10 +131,9 @@ def test_gap_and_ladder_callers_ask_only_for_the_pairs_they_read(monkeypatch):
         monkeypatch.setattr(module, "eigendecompose", spy)
     p = ModelParams.from_collective(1.0, 1.0, 0.1)
     cutoff_convergence("bilinear", p, (4, 6))
-    cutoff_convergence("bilinear", p, (4, 6), observable="first_gap")
     jc_polariton_splitting(ModelParams(1.0, 1.0, 0.01, 4))
     dicke_vs_bilinear_gap(p, (2, 4))
-    assert asked == [1, 1, 2, 2, 3, 2, 2]
+    assert asked == [1, 1, 3, 2, 2]
     asked.clear()
     assert cli.run_verification(cli.VERIFY_TOLERANCES)["all_passed"]
     assert asked and None not in asked
@@ -168,6 +167,28 @@ def test_witness_refuses_detuned_input(tmp_path):
     refusal = json.loads((tmp_path / "out" / "witness.json").read_text())
     assert refusal["status"] == "refused"
     assert "resonance" in refusal["reason"]
+
+
+def test_witness_refuses_detuned_input_before_solving(tmp_path, monkeypatch):
+    # at dim 4160 the ground state is a Krylov solve; a detuned point needs none
+    from polariton import cli
+
+    calls = []
+    real = cli.ground_state
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ground_state", spy)
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "params": {"omega_b": 1.4},
+        "hilbert": {"photon_cutoff": 63, "matter_dim": 65},
+    })
+    assert main(["witness", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert calls == []
+    refusal = json.loads((tmp_path / "out" / "witness.json").read_text())
+    assert refusal["reason"].startswith("the separable energy floor holds only on resonance")
 
 
 def test_dynamics_kinds_run(tmp_path):
@@ -302,6 +323,7 @@ def test_configuration_errors_exit_one(tmp_path, capsys):
         ({"hilbert": {"photon_cutoff": 6.9}}, "hilbert.photon_cutoff"),
         ({"seed": 3.5}, "seed"),
         ({"params": {"g": False}}, "params.g"),
+        ({"output": {"dir": 5}}, "output.dir"),
     ]):
         path = _write_config(tmp_path / f"typed{i}.json", config)
         assert main(["spectrum", "--config", path, "--out", str(tmp_path / "t")]) == 1

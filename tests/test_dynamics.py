@@ -1,4 +1,5 @@
-"""Exact propagation, flopping spectra and the mean-field counterpart."""
+"""Flopping signals and spectra, the mean-field counterpart and the vacuum
+correlation spectrum."""
 import math
 
 import numpy as np
@@ -9,21 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 from polariton.dynamics import (
     _CHUNK,
     _superpose,
-    evolve,
     flop_spectrum,
     rabi_flop_signal,
     semiclassical_trajectory,
     vacuum_correlation_spectrum,
 )
 from polariton.errors import ConfigurationError, NumericalError
-from polariton.model import (
-    BUILDERS,
-    HilbertSpec,
-    ModelParams,
-    StateVector,
-    build_bilinear_hamiltonian,
-    default_spec,
-)
+from polariton.model import BUILDERS, ModelParams, StateVector, default_spec
 from polariton.series import TimeGrid, Trajectory
 from polariton.spectral import eigendecompose, normal_modes
 
@@ -37,35 +30,10 @@ def test_time_grid_and_trajectory_validation():
         TimeGrid(16, 0.0)
     with pytest.raises(ConfigurationError):
         TimeGrid(16, math.inf)
-    grid = TimeGrid(4, 0.5)
-    # horizon is the last sample time, (n-1) dt
-    assert grid.horizon == pytest.approx(1.5)
     with pytest.raises(ConfigurationError):
         Trajectory(np.array([0.0, 0.1, 0.3]), {"x": np.zeros(3)})
     with pytest.raises(ConfigurationError):
         Trajectory(np.array([0.0, 0.1, 0.2]), {"x": np.zeros(5)})
-
-
-def test_evolve_preserves_norm_and_energy():
-    spec = HilbertSpec(6, 7)
-    h = build_bilinear_hamiltonian(PARAMS, spec)
-    psi0 = StateVector.product_fock(spec, 0, 1)
-    traj = evolve(h, psi0, TimeGrid(64, 0.02), seed=1234)
-    states = traj.channels["state"]
-    norms = np.linalg.norm(states, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-12)
-    dense = h.to_dense()
-    energies = np.einsum("ti,ij,tj->t", states.conj(), dense, states).real
-    assert np.allclose(energies, energies[0], atol=1e-11)
-    assert np.allclose(states[0], psi0.amplitudes, atol=1e-12)
-
-
-def test_evolve_rejects_coarse_steps():
-    spec = HilbertSpec(12, 13)
-    h = build_bilinear_hamiltonian(PARAMS, spec)
-    psi0 = StateVector.product_fock(spec, 0, 1)
-    with pytest.raises(ConfigurationError):
-        evolve(h, psi0, TimeGrid(64, 0.05), seed=1234)
 
 
 def test_bilinear_flop_beats_at_the_mode_splitting():
@@ -148,11 +116,9 @@ def test_flop_spectrum_input_guards():
     long = Trajectory(np.arange(32) * 0.1, {"x": np.zeros(32), "y": np.zeros(32)})
     with pytest.raises(ConfigurationError):
         flop_spectrum(long)  # ambiguous channel
-    with pytest.raises(ConfigurationError):
-        flop_spectrum(long, channel="z")
     complex_traj = Trajectory(np.arange(32) * 0.1, {"x": np.zeros(32, complex) + 1j})
     with pytest.raises(ConfigurationError):
-        flop_spectrum(complex_traj, channel="x")
+        flop_spectrum(complex_traj)
 
 
 def test_vacuum_is_a_mean_field_fixed_point():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polariton.errors import ConfigurationError, DomainError
+from polariton.errors import DomainError
 from polariton.holstein_primakoff import (
     SpinRep,
     commutator_residual,
@@ -12,7 +12,6 @@ from polariton.holstein_primakoff import (
     hp_exactness_error,
     hp_operators,
     ladder_reference,
-    linearization_error,
 )
 from polariton.model import ModelParams
 from polariton.spectral import normal_modes
@@ -54,31 +53,6 @@ def test_half_spin_map_is_pauli():
     assert np.count_nonzero(jp) == 1
     assert np.max(np.abs(jp)) == pytest.approx(1.0, abs=1e-15)
     assert sorted(np.diag(jz).tolist()) == [-0.5, 0.5]
-
-
-def test_linearization_error_closed_form():
-    # retained occupation n_low: max |1 - sqrt(1 - n/2j)| over n <= n_low
-    rep = SpinRep(50.0)
-    assert linearization_error(rep, 0) == 0.0
-    got = linearization_error(rep, 2)
-    assert got == pytest.approx(1.0 - math.sqrt(1.0 - 2.0 / 100.0), abs=1e-12)
-    assert got == pytest.approx(0.01005, abs=5e-6)
-
-
-def test_linearization_error_shrinks_with_j():
-    errs = [linearization_error(SpinRep(j), 2) for j in (2.0, 5.0, 10.0, 50.0)]
-    assert all(b < a for a, b in zip(errs, errs[1:]))
-
-
-def test_linearization_error_domain():
-    # at n_low = 2j the top raising row has no linear counterpart left, so
-    # the deviation saturates at the row below: 1 - sqrt(1/2j)
-    edge = linearization_error(SpinRep(1.0), 2)
-    assert edge == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-14)
-    with pytest.raises(ConfigurationError):
-        linearization_error(SpinRep(1.0), 3)
-    with pytest.raises(ConfigurationError):
-        linearization_error(SpinRep(1.0), -1)
 
 
 def test_gap_converges_to_bilinear_limit():

@@ -278,8 +278,6 @@ def test_upper_triangle_storage_is_enforced():
 def test_state_vector_normalization_guard():
     with pytest.raises(ConfigurationError):
         StateVector(np.array([1.0, 1.0]))
-    s = StateVector.basis_state(4, 2)
-    assert s.amplitudes[2] == 1.0
 
 
 def test_product_fock_addressing():

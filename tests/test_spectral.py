@@ -655,15 +655,6 @@ def test_cutoff_ladder_converges():
     assert report.converged
 
 
-def test_cutoff_ladder_on_first_gap():
-    p = ModelParams.from_collective(1.0, 1.0, 0.2)
-    report = cutoff_convergence(
-        "bilinear", p, (6, 8, 10), observable="first_gap", seed=1234
-    )
-    assert report.final_delta < 1e-9
-    assert abs(report.values[-1] - OMEGA_MINUS) < 1e-9
-
-
 def test_cutoff_ladder_refuses_an_unknown_builder():
     with pytest.raises(ConfigurationError, match="unknown model 'tight-binding'"):
         cutoff_convergence("tight-binding", ModelParams(1.0, 1.0, 0.2, 1), (4, 6))

@@ -217,6 +217,10 @@ CASES = [
     ("spectrum-semiclassical-model-refused", ["spectrum"], {"model": "semiclassical"}),
     # a sweep's values must be a JSON array, not a string whose characters it would sweep
     ("spectrum-sweep-values-string", ["spectrum"], {"sweep": {"name": "n_atoms", "values": "12"}}),
+    # an output directory must be a JSON string, named in the refusal
+    ("output-dir-number", ["spectrum"], {"output": {"dir": 5}}),
+    # detuned and unstable: refused on resonance first, as witness_evaluate checks
+    ("witness-detuned-unstable", ["witness"], {"params": {"omega_b": 1.4, "g": 0.6}}),
 ]
 
 
