@@ -25,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .model import (
-    ModelParams,
-    build_dicke_hamiltonian,
-    default_spec,
-    spin_ladder_matrices,
-)
+from .model import ModelParams, build_dicke_hamiltonian, default_spec
 from .spectral import DEFAULT_SEED, eigendecompose, normal_modes
 
 
@@ -68,10 +63,14 @@ def hp_operators(rep: SpinRep):
 
 
 def ladder_reference(rep: SpinRep):
-    """The ladder the Dicke builders use, sqrt(j(j+1) - m(m+1)) from
-    spin_ladder_matrices, reversed on both axes into this ordering (m = j - n
-    descending with n).  Used as the independent comparison."""
-    return tuple(op[::-1, ::-1] for op in spin_ladder_matrices(rep.two_j))
+    """(J_plus, J_minus, J_z) in this ordering (m = j - n descending with n)
+    from the angular momentum formula sqrt(j(j+1) - m(m+1)) itself.  Used as
+    the independent comparison: hp_operators and the model builders both
+    use the integer form of the amplitudes."""
+    j = rep.two_j / 2.0
+    m = j - np.arange(rep.dimension)
+    amp = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
+    return np.diag(amp, 1), np.diag(amp, -1), np.diag(m)
 
 
 def hp_exactness_error(rep: SpinRep) -> float:

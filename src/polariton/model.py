@@ -25,8 +25,8 @@ from .errors import ConfigurationError, DomainError, NumericalError
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
 # a lower bound on what assembling an operator costs per basis state; the
-# builders peak at 72-193 B per state under tracemalloc near dimension 10^6
-BUILD_BYTES_PER_STATE = 64
+# builders peak at 59-139 B per state under tracemalloc near dimension 10^6
+BUILD_BYTES_PER_STATE = 56
 
 
 @dataclass(frozen=True)
@@ -261,15 +261,13 @@ def _boson_ladder(dim: int):
     return roots, np.r_[0.0, roots * roots]
 
 
-def _spin_ladder(n_atoms: int):
-    """m = -j, ..., j for j = N/2 and the J_plus amplitudes
-    sqrt(j(j+1) - m(m+1)) for m < j.  The products m(m+1) are dyadic
-    rationals, so the sqrt arguments are exact while N(N+2) = 4 j(j+1) < 2^53,
-    i.e. N <= 94906264.  A full ladder that long needs over 12 GB by
-    BUILD_BYTES_PER_STATE, which _identities refuses on a smaller host."""
-    j = n_atoms / 2.0
-    m = -j + np.arange(n_atoms + 1)
-    return m, np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
+def _spin_ladder(n_atoms: int, k):
+    """J_plus amplitudes of the j = N/2 ladder at rungs k = m + j, that is
+    sqrt(j(j+1) - m(m+1)) in its integer form sqrt((N - k)(k + 1)).  The
+    argument is an exact integer below 2^53, so each amplitude is one
+    correctly rounded sqrt; the products m(m+1) of the m-form are exact only
+    while N(N+2) < 2^53, i.e. N <= 94906264."""
+    return np.sqrt((n_atoms - k) * (k + 1.0))
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:
@@ -283,16 +281,16 @@ def spin_ladder_matrices(n_atoms: int):
     Basis ordering follows the package convention: index k = m + j ascending,
     so entry (k+1, k) of J_plus carries sqrt(j(j+1) - m(m+1)).
     """
-    m, amp = _spin_ladder(n_atoms)
-    return np.diag(amp, -1), np.diag(amp, 1), np.diag(m)
+    k = np.arange(n_atoms + 1, dtype=float)
+    amp = _spin_ladder(n_atoms, k[:-1])
+    return np.diag(amp, -1), np.diag(amp, 1), np.diag(k - n_atoms / 2.0)
 
 
-def _identities(spec: HilbertSpec):
-    """Sparse identities on the photon and matter factors.  scipy's graph and
-    LU kernels index with C int, so a larger product dimension could never be
-    solved; it is refused as the failed allocation it would become, before
-    anything is allocated.  So is one whose lower-bound cost exceeds the
-    physical memory."""
+def _refuse_unbuildable(spec: HilbertSpec) -> None:
+    """scipy's graph and LU kernels index with C int, so a larger product
+    dimension could never be solved; it is refused as the failed allocation
+    it would become.  So is one whose lower-bound cost exceeds the physical
+    memory.  Each builder calls this before it allocates anything."""
     if spec.dimension > np.iinfo(np.intc).max:
         raise MemoryError(
             f"cannot index a Hamiltonian of dimension {spec.photon_dim:.6g} x "
@@ -303,26 +301,6 @@ def _identities(spec: HilbertSpec):
     if need > memory:
         raise MemoryError(f"a Hamiltonian of dimension {spec.dimension} needs at least {need:.3g} "
                           f"bytes, more than the {memory:.3g} bytes of physical memory")
-    return (_band(spec.photon_dim, (0, np.ones(spec.photon_dim))),
-            _band(spec.matter_dim, (0, np.ones(spec.matter_dim))))
-
-
-def _band(dim: int, *diagonals):
-    """dim x dim sparse factor holding each (offset, values) diagonal.  It is
-    built straight as COO, the format scipy.sparse.kron works in: converting
-    a scipy.sparse.diags factor to COO costs more than the kron itself on
-    small factors."""
-    from scipy.sparse import coo_matrix
-
-    rows, cols, values = [], [], []
-    for offset, diagonal in diagonals:
-        index = np.arange(len(diagonal))
-        rows.append(index + max(-offset, 0))
-        cols.append(index + max(offset, 0))
-        values.append(diagonal)
-    return coo_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    )
 
 
 def _spin_factors(params: ModelParams, spec: HilbertSpec):
@@ -333,20 +311,38 @@ def _spin_factors(params: ModelParams, spec: HilbertSpec):
             f"matter block needs matter_dim = n_atoms + 1 = "
             f"{params.n_atoms + 1}, got {spec.matter_dim}"
         )
-    m, amp = _spin_ladder(params.n_atoms)
-    return amp, m + params.total_spin
+    k = np.arange(spec.matter_dim, dtype=float)
+    return _spin_ladder(params.n_atoms, k[:-1]), k
+
+
+def _identities(spec: HilbertSpec):
+    """The photon and matter identities as one-diagonal factors."""
+    return [(0, np.ones(spec.photon_dim))], [(0, np.ones(spec.matter_dim))]
 
 
 def _kron_sum(terms) -> HermitianOperator:
-    """Upper triangle of sum(coef * kron(photon_factor, matter_factor)),
-    assembled sparse so that the dense product is never formed."""
-    from scipy import sparse
-
-    h = sum(coef * sparse.kron(ph, mat, format="csr") for coef, ph, mat in terms)
-    upper = sparse.triu(h, format="csr")
-    upper.eliminate_zeros()
-    upper = upper.tocoo()  # row-major, the order from_dense stores
-    return HermitianOperator(upper.shape[0], upper.row, upper.col, upper.data)
+    """Upper triangle of sum(coef * kron(P, M)) over the terms (coef, P, M),
+    each factor a list of (offset, values) diagonals placed as np.diag
+    places them.  Photon offset dp and matter offset dm land on product
+    diagonal dp * matter_dim + dm, an upper one iff (dp, dm) >= (0, 0), and
+    a term adds coef * (vp[:, None] * vm) there.  Added in term order, these
+    are the bits scipy.sparse's kron, scaling and sum give.  The diagonals
+    are stacked as a (dim, n_offsets) array in ascending offset order, so
+    np.nonzero yields the entries row-major, the order from_dense stores,
+    with exact zeros dropped; no dim x dim matrix is formed."""
+    blocks = [(coef, dp, vp, dm, vm) for coef, ph, mat in terms
+              for dp, vp in ph for dm, vm in mat if (dp, dm) >= (0, 0)]
+    _, dp, vp, dm, vm = blocks[0]
+    p, m = len(vp) + dp, len(vm) + abs(dm)  # a diagonal gives its factor's size
+    pairs = sorted({(dp, dm) for _, dp, _, dm, _ in blocks})
+    stack = np.zeros((p, m, len(pairs)))
+    for coef, dp, vp, dm, vm in blocks:
+        first = max(-dm, 0)
+        stack[:len(vp), first:first + len(vm), pairs.index((dp, dm))] += coef * (vp[:, None] * vm)
+    stack = stack.reshape(p * m, len(pairs))
+    rows, slot = np.nonzero(stack)
+    offsets = np.array([dp * m + dm for dp, dm in pairs])
+    return HermitianOperator(p * m, rows, rows + offsets[slot], stack[rows, slot])
 
 
 def build_dicke_hamiltonian(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
@@ -358,13 +354,13 @@ def build_dicke_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermitian
     The J_z + j shift puts the uncoupled vacuum at energy zero.  Requires
     matter_dim == n_atoms + 1 (the full maximal-j ladder).
     """
-    eye_p, eye_m = _identities(spec)
+    _refuse_unbuildable(spec)
     jp, excitation = _spin_factors(params, spec)
-    p, m = spec.photon_dim, spec.matter_dim
-    a, number = _boson_ladder(p)
-    return _kron_sum([(params.omega_a, _band(p, (0, number)), eye_m),
-                      (params.omega_b, eye_p, _band(m, (0, excitation))),
-                      (params.g, _band(p, (1, a), (-1, a)), _band(m, (-1, jp), (1, jp)))])
+    eye_p, eye_m = _identities(spec)
+    a, number = _boson_ladder(spec.photon_dim)
+    return _kron_sum([(params.omega_a, [(0, number)], eye_m),
+                      (params.omega_b, eye_p, [(0, excitation)]),
+                      (params.g, [(1, a), (-1, a)], [(-1, jp), (1, jp)])])
 
 
 def build_bilinear_hamiltonian(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
@@ -376,13 +372,12 @@ def build_bilinear_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermit
     Rejects parameters outside the normal-phase stability region.
     """
     params.require_bilinear_stable()
+    _refuse_unbuildable(spec)
     eye_p, eye_m = _identities(spec)
-    p, m = spec.photon_dim, spec.matter_dim
-    (a, number_a), (b, number_b) = _boson_ladder(p), _boson_ladder(m)
-    return _kron_sum([(params.omega_a, _band(p, (0, number_a)), eye_m),
-                      (params.omega_b, eye_p, _band(m, (0, number_b))),
-                      (params.collective_coupling,
-                       _band(p, (1, a), (-1, a)), _band(m, (1, b), (-1, b)))])
+    (a, number_a), (b, number_b) = _boson_ladder(spec.photon_dim), _boson_ladder(spec.matter_dim)
+    return _kron_sum([(params.omega_a, [(0, number_a)], eye_m),
+                      (params.omega_b, eye_p, [(0, number_b)]),
+                      (params.collective_coupling, [(1, a), (-1, a)], [(1, b), (-1, b)])])
 
 
 def build_jc_rwa_hamiltonian(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
@@ -392,14 +387,14 @@ def build_jc_rwa_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermitia
 
     Conserves the total excitation number a^dag a + J_z + j.
     """
-    eye_p, eye_m = _identities(spec)
+    _refuse_unbuildable(spec)
     jp, excitation = _spin_factors(params, spec)
-    p, m = spec.photon_dim, spec.matter_dim
-    a, number = _boson_ladder(p)
-    return _kron_sum([(params.omega_a, _band(p, (0, number)), eye_m),
-                      (params.omega_b, eye_p, _band(m, (0, excitation))),
-                      (params.g, _band(p, (-1, a)), _band(m, (1, jp))),  # a^dag J_minus
-                      (params.g, _band(p, (1, a)), _band(m, (-1, jp)))])  # a J_plus
+    eye_p, eye_m = _identities(spec)
+    a, number = _boson_ladder(spec.photon_dim)
+    return _kron_sum([(params.omega_a, [(0, number)], eye_m),
+                      (params.omega_b, eye_p, [(0, excitation)]),
+                      (params.g, [(-1, a)], [(1, jp)]),  # a^dag J_minus
+                      (params.g, [(1, a)], [(-1, jp)])])  # a J_plus
 
 
 BUILDERS = {
@@ -423,11 +418,11 @@ def default_spec(model: str, params: ModelParams, photon_cutoff: int) -> Hilbert
 
 def total_excitation_operator(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
     """a^dag a + J_z + j, the quantity conserved by the rotating-wave model."""
-    eye_p, eye_m = _identities(spec)
+    _refuse_unbuildable(spec)
     _, excitation = _spin_factors(params, spec)
+    eye_p, eye_m = _identities(spec)
     number = np.arange(spec.photon_dim, dtype=float)  # exact, unlike a^dag a
-    return _kron_sum([(1.0, _band(spec.photon_dim, (0, number)), eye_m),
-                      (1.0, eye_p, _band(spec.matter_dim, (0, excitation)))])
+    return _kron_sum([(1.0, [(0, number)], eye_m), (1.0, eye_p, [(0, excitation)])])
 
 
 def expectation(op: HermitianOperator, state: StateVector) -> float:

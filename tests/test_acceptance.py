@@ -6,7 +6,6 @@ green."""
 import math
 
 import numpy as np
-import pytest
 
 from polariton.classical import classical_quantum_agreement, splitting_vs_n
 from polariton.cli import main, reference_cavity

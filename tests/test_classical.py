@@ -24,7 +24,7 @@ from polariton.classical import (
     transmission_spectrum,
 )
 from polariton.cli import reference_cavity
-from polariton.errors import ConfigurationError, DomainError
+from polariton.errors import DomainError
 from polariton.series import SpectrumSeries
 from polariton.spectral import normal_modes
 

@@ -1,12 +1,19 @@
 """Operator construction and Hilbert-space bookkeeping."""
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polariton.errors import ConfigurationError, DomainError, NumericalError
+from polariton.errors import ConfigurationError, DomainError
 from polariton.model import (
+    BUILD_BYTES_PER_STATE,
     BUILDERS,
     HermitianOperator,
     HilbertSpec,
@@ -21,6 +28,9 @@ from polariton.model import (
     spin_ladder_matrices,
     total_excitation_operator,
 )
+from polariton.model import _spin_ladder
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_params_validation():
@@ -260,6 +270,133 @@ def test_builders_match_dense_kron_reference(
     for got, want in ((op.rows, ref.rows), (op.cols, ref.cols), (op.values, ref.values)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _m_form(n_atoms):
+    """sqrt(j(j+1) - m(m+1)) for m = -j..j-1, the ladder's textbook form."""
+    j = n_atoms / 2.0
+    m = -j + np.arange(n_atoms)
+    return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+
+
+def test_spin_ladder_integer_form_keeps_the_m_form_bits():
+    # wherever the m-form's products are exact the two forms give one bit pattern
+    for n in [*range(1, 2001), 10**4, 10**5, 10**6]:
+        assert np.array_equal(_spin_ladder(n, np.arange(n, dtype=float)), _m_form(n)), n
+
+
+def test_spin_ladder_is_correctly_rounded_where_the_m_form_is_not():
+    # N = 94906265 is the first odd N with N(N+2) >= 2^53: j(j+1) - m(m+1)
+    # is rounded before the sqrt, (N - k)(k + 1) is still an exact integer
+    n = 94_906_265
+    j = n / 2.0
+    rungs = np.array([0.0, 1.0, 2.0, 12345.0, n // 2, n - 2.0, n - 1.0])
+    got = _spin_ladder(n, rungs)
+    for k, amp in zip(rungs.astype(int).tolist(), got.tolist()):
+        exact = (n - k) * (k + 1)
+        assert math.isqrt(exact) <= amp <= math.isqrt(exact) + 1
+        # amp is the float nearest sqrt(exact): exact lies between the squared
+        # midpoints to its float neighbours
+        below, above = (Fraction(np.nextafter(amp, side)) for side in (0.0, math.inf))
+        assert ((below + Fraction(amp)) / 2) ** 2 <= exact <= ((Fraction(amp) + above) / 2) ** 2
+    m = -j + rungs[0]
+    assert math.sqrt(j * (j + 1.0) - m * (m + 1.0)) != got[0]
+
+
+def _scipy_reference(model, p, spec):
+    """The builders' former assembly: sum(coef * scipy.sparse.kron(P, M)) over
+    COO factors of one or two diagonals, then triu, eliminate_zeros and
+    tocoo, with the spin ladder in its m-form."""
+    from scipy import sparse
+
+    def band(dim, *diagonals):
+        rows, cols, values = [], [], []
+        for offset, diagonal in diagonals:
+            index = np.arange(len(diagonal))
+            rows.append(index + max(-offset, 0))
+            cols.append(index + max(offset, 0))
+            values.append(diagonal)
+        return sparse.coo_matrix(
+            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+        )
+
+    pd, md = spec.photon_dim, spec.matter_dim
+    eye_p, eye_m = band(pd, (0, np.ones(pd))), band(md, (0, np.ones(md)))
+    a = np.sqrt(np.arange(1, pd, dtype=float))
+    number = band(pd, (0, np.r_[0.0, a * a]))
+    if model == "bilinear":
+        b = np.sqrt(np.arange(1, md, dtype=float))
+        terms = [(p.omega_a, number, eye_m),
+                 (p.omega_b, eye_p, band(md, (0, np.r_[0.0, b * b]))),
+                 (p.collective_coupling, band(pd, (1, a), (-1, a)), band(md, (1, b), (-1, b)))]
+    else:
+        jp = _m_form(p.n_atoms)
+        excitation = band(md, (0, -p.total_spin + np.arange(md) + p.total_spin))
+        if model == "excitation":
+            terms = [(1.0, band(pd, (0, np.arange(pd, dtype=float))), eye_m), (1.0, eye_p, excitation)]
+        else:
+            terms = [(p.omega_a, number, eye_m), (p.omega_b, eye_p, excitation)]
+        if model == "dicke":
+            terms.append((p.g, band(pd, (1, a), (-1, a)), band(md, (-1, jp), (1, jp))))
+        elif model == "jc-rwa":
+            terms += [(p.g, band(pd, (-1, a)), band(md, (1, jp))),
+                      (p.g, band(pd, (1, a)), band(md, (-1, jp)))]
+    h = sum(coef * sparse.kron(ph, mat, format="csr") for coef, ph, mat in terms)
+    upper = sparse.triu(h, format="csr")
+    upper.eliminate_zeros()
+    upper = upper.tocoo()
+    return HermitianOperator(upper.shape[0], upper.row, upper.col, upper.data)
+
+
+_BENCHMARK_SIZES = [
+    *(("bilinear", omegas, g, 1, (63, 65)) for g in (0.1, 0.2, 0.3, 0.4)
+      for omegas in ((1.0, 1.0), (0.93, 1.07))),
+    *((model, omegas, 0.02, n, (12, n + 1)) for model in ("dicke", "jc-rwa", "excitation")
+      for n in (100, 150, 200) for omegas in ((1.0, 1.0), (0.93, 1.07))),
+]
+
+
+@pytest.mark.parametrize("model, omegas, g, n_atoms, hilbert", _BENCHMARK_SIZES)
+def test_builders_keep_the_scipy_kron_bits(model, omegas, g, n_atoms, hilbert):
+    p = ModelParams(*omegas, g=g, n_atoms=n_atoms)
+    spec = HilbertSpec(*hilbert)
+    build = total_excitation_operator if model == "excitation" else BUILDERS[model]
+    op, ref = build(p, spec), _scipy_reference(model, p, spec)
+    assert op.dim == ref.dim == spec.dimension
+    for got, want in ((op.rows, ref.rows), (op.cols, ref.cols), (op.values, ref.values)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("build, p, spec", [
+    (build_bilinear_hamiltonian, ModelParams.from_collective(1.0, 1.0, 0.2), HilbertSpec(315, 316)),
+    (build_dicke_hamiltonian, ModelParams(1.0, 1.0, 0.02, 9999), HilbertSpec(9, 10000)),
+    (build_jc_rwa_hamiltonian, ModelParams(1.0, 1.0, 0.02, 9999), HilbertSpec(9, 10000)),
+    (total_excitation_operator, ModelParams(1.0, 1.0, 0.02, 9999), HilbertSpec(9, 10000)),
+], ids=["bilinear", "dicke", "jc-rwa", "excitation"])
+def test_build_peak_is_at_least_the_refusal_bound(build, p, spec):
+    # the size refusal charges BUILD_BYTES_PER_STATE a state; it must never
+    # refuse a build that would have fit
+    build(p, spec)
+    tracemalloc.start()
+    try:
+        build(p, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak >= BUILD_BYTES_PER_STATE * spec.dimension
+
+
+def test_a_build_imports_no_scipy():
+    code = (
+        "import sys; from polariton.model import ModelParams, HilbertSpec, build_dicke_hamiltonian; "
+        "build_dicke_hamiltonian(ModelParams(1.0, 1.0, 0.02, 20), HilbertSpec(12, 21)); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_from_dense_rejects_non_hermitian():
