@@ -103,7 +103,6 @@ class PeakReport:
     than two peaks) or "multi-peak"."""
 
     peak_frequencies: tuple
-    peak_heights: tuple
     splitting: float | None
     flag: str
 
@@ -208,10 +207,11 @@ def _peak_indices(vals, floor):
 
 
 def _refine(freqs, vals, i):
-    """Vertex of the parabola through three samples around a local maximum.
-    The frequencies are taken in units of a power of two near their largest
-    magnitude, which is exact, so the cubes in the parabola's coefficients
-    cannot overflow and an ordinary grid keeps the bits of the plain formula."""
+    """Frequency of the vertex of the parabola through three samples around
+    a local maximum.  The frequencies are taken in units of a power of two
+    near their largest magnitude, which is exact, so the cubes in the
+    parabola's coefficients cannot overflow and an ordinary grid keeps the
+    bits of the plain formula."""
     unit = np.ldexp(1.0, -np.frexp(np.max(np.abs(freqs[i - 1 : i + 2])))[1])
     x0, x1, x2 = freqs[i - 1] * unit, freqs[i] * unit, freqs[i + 1] * unit
     y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
@@ -219,10 +219,8 @@ def _refine(freqs, vals, i):
     a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
     b = (x2 * x2 * (y0 - y1) + x1 * x1 * (y2 - y0) + x0 * x0 * (y1 - y2)) / denom
     if a >= 0.0:
-        return float(freqs[i]), float(y1)
-    xv = -b / (2.0 * a)
-    cc = y1 - a * x1 * x1 - b * x1
-    return float(xv / unit), float(a * xv * xv + b * xv + cc)
+        return float(freqs[i])
+    return float(-b / (2.0 * a) / unit)
 
 
 def peak_splitting(spectrum: SpectrumSeries) -> PeakReport:
@@ -234,14 +232,11 @@ def peak_splitting(spectrum: SpectrumSeries) -> PeakReport:
         raise ConfigurationError("need at least three samples to detect peaks")
     top = float(vals.max())
     if top <= 0.0:
-        return PeakReport((), (), None, "no-splitting")
-    peaks = [_refine(freqs, vals, i) for i in _peak_indices(vals, PROMINENCE_FLOOR * top)]
-    frequencies = tuple(p[0] for p in peaks)
-    heights = tuple(p[1] for p in peaks)
+        return PeakReport((), None, "no-splitting")
+    peaks = tuple(_refine(freqs, vals, i) for i in _peak_indices(vals, PROMINENCE_FLOOR * top))
     if len(peaks) == 2:
-        return PeakReport(frequencies, heights, frequencies[1] - frequencies[0], "split")
-    flag = "no-splitting" if len(peaks) < 2 else "multi-peak"
-    return PeakReport(frequencies, heights, None, flag)
+        return PeakReport(peaks, peaks[1] - peaks[0], "split")
+    return PeakReport(peaks, None, "no-splitting" if len(peaks) < 2 else "multi-peak")
 
 
 def predicted_splitting(cavity: CavityParams) -> float:
@@ -274,22 +269,9 @@ def default_grid(cavity: CavityParams, n_points: int) -> np.ndarray:
 
 def matched_coupling(cavity: CavityParams) -> float:
     """Collective coupling lambda of the resonant quantum model (cavity
-    frequency wa = wb) that corresponds to this cavity:
-    (d/2) sqrt(N wb / (hbar eps0 A L_c wa)) * sqrt(wa).
-
-    wa cancels, so the matched lambda is half the predicted peak separation;
-    it stays in the expression because the shorter form rounds differently
-    in the last bit for about half of all cavities."""
-    return (
-        0.5
-        * cavity.dipole_moment
-        * math.sqrt(
-            cavity.n_dipoles
-            * cavity.omega_b
-            / (HBAR * VACUUM_PERMITTIVITY * cavity.mode_volume * cavity.omega_b)
-        )
-        * math.sqrt(cavity.omega_b)
-    )
+    frequency wa = wb) that corresponds to this cavity: half the predicted
+    peak separation."""
+    return 0.5 * predicted_splitting(cavity)
 
 
 def matched_model_params(cavity: CavityParams) -> ModelParams:

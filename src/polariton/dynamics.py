@@ -190,7 +190,6 @@ def vacuum_correlation_spectrum(
     frequency grid of the supplied time grid, so the summed intensity equals
     the static variance <X^2> exactly (the resolution of identity of the
     truncated eigenbasis).  No time stepping is involved."""
-    params.require_bilinear_stable()
     if spec is None:
         spec = default_spec("bilinear", params, 12)
     h = build_bilinear_hamiltonian(params, spec)

@@ -335,7 +335,10 @@ def normal_modes(params: ModelParams) -> NormalModes:
     frequency exceeds 2^500, wa, wb and lambda are first scaled by the power
     of two that brings it below 2^500, and where it is below 2^-500, by the
     one that brings it into [1/2, 1); this is exact and keeps the squares
-    finite and normal, and the scale is divided back out of sqrt(mu)."""
+    finite and normal, and the scale is divided back out of sqrt(mu).  A few
+    ulps inside the stability boundary the lower eigenvalue cancels to zero
+    or below; it is then taken from the determinant,
+    mu_- = det / mu_+ = (wa wb / mu_+) wa wb (1 - 4 lambda^2 / (wa wb))."""
     params.require_bilinear_stable()
     wa, wb, lam = params.omega_a, params.omega_b, params.collective_coupling
     top = max(wa, wb)
@@ -348,6 +351,8 @@ def normal_modes(params: ModelParams) -> NormalModes:
     off = 2.0 * lam * math.sqrt(wa * wb)
     form = np.array([[wa**2, off], [off, wb**2]])
     mu, vecs = np.linalg.eigh(form)
+    if mu[0] <= 0.0:
+        mu[0] = wa * wb / mu[1] * (wa * wb) * (1.0 - params._coupling_ratio())
     # deterministic column signs: largest component positive
     vecs *= np.where(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]] < 0.0, -1.0, 1.0)
     return NormalModes(

@@ -227,7 +227,6 @@ def gaussian_ground_state(params: ModelParams) -> GaussianState:
     <p_i^2> = Omega_i / 2 in mass-weighted coordinates, which are then
     rescaled to the dimensionless quadratures (vacuum covariance 1/2).
     """
-    params.require_bilinear_stable()
     modes = normal_modes(params)
     r = modes.mode_matrix
     omegas = np.array([modes.omega_minus, modes.omega_plus])

@@ -146,9 +146,8 @@ def test_refine_takes_the_vertex_of_a_grid_whose_cubes_overflow():
     # (x0 - x1)(x0 - x2)(x1 - x2) is about 1e357 in plain floats
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        x, y = _refine(np.array([1e120, 1.1e120, 1.2e120]), np.array([0.5, 1.0, 0.5]), 1)
+        x = _refine(np.array([1e120, 1.1e120, 1.2e120]), np.array([0.5, 1.0, 0.5]), 1)
     assert x == pytest.approx(1.1e120, rel=1e-12)
-    assert y == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,8 +159,8 @@ def test_refine_takes_the_vertex_of_a_grid_whose_cubes_overflow():
 )
 def test_refine_scales_exactly_with_a_power_of_two(centre, step, heights, power):
     grid = centre * np.array([1.0 - step, 1.0, 1.0 + step])
-    x, y = _refine(grid, np.array(heights), 1)
-    assert _refine(np.ldexp(grid, power), np.array(heights), 1) == (math.ldexp(x, power), y)
+    x = _refine(grid, np.array(heights), 1)
+    assert _refine(np.ldexp(grid, power), np.array(heights), 1) == math.ldexp(x, power)
 
 
 def test_peak_splitting_degenerate_inputs():

@@ -387,16 +387,41 @@ def test_build_peak_is_at_least_the_refusal_bound(build, p, spec):
     assert peak >= BUILD_BYTES_PER_STATE * spec.dimension
 
 
-def test_a_build_imports_no_scipy():
-    code = (
-        "import sys; from polariton.model import ModelParams, HilbertSpec, build_dicke_hamiltonian; "
-        "build_dicke_hamiltonian(ModelParams(1.0, 1.0, 0.02, 20), HilbertSpec(12, 21)); "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    )
+def _scipy_modules_after(code):
+    """The scipy modules loaded once a fresh interpreter has run code."""
+    code += "; import sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_a_build_imports_no_scipy():
+    assert _scipy_modules_after(
+        "from polariton.model import ModelParams, HilbertSpec, build_dicke_hamiltonian; "
+        "build_dicke_hamiltonian(ModelParams(1.0, 1.0, 0.02, 20), HilbertSpec(12, 21))"
+    ) == "[]"
+
+
+def test_an_expectation_imports_no_scipy():
+    assert _scipy_modules_after(
+        "from polariton.model import ModelParams, HilbertSpec, StateVector, "
+        "build_bilinear_hamiltonian, expectation; spec = HilbertSpec(12, 13); "
+        "h = build_bilinear_hamiltonian(ModelParams(1.0, 1.0, 0.2, 1), spec); "
+        "expectation(h, StateVector.product_fock(spec, 2, 1))"
+    ) == "[]"
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_expectation_matches_the_dense_quadratic_form(dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    op = HermitianOperator.from_dense(z + z.conj().T)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    dense = np.vdot(psi, op.to_dense() @ psi).real
+    assert abs(expectation(op, StateVector(psi)) - dense) <= 1e-12 * op.frobenius_norm()
 
 
 def test_from_dense_rejects_non_hermitian():

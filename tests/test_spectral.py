@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -57,6 +57,27 @@ def test_normal_modes_mode_matrix_is_orthogonal():
     modes = normal_modes(ModelParams.from_collective(1.0, 1.5, 0.25))
     r = modes.mode_matrix
     assert np.allclose(r.T @ r, np.eye(2), atol=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    omega_a=st.floats(1e-3, 1e3),
+    omega_b=st.floats(1e-3, 1e3),
+    ulps=st.integers(0, 4),
+)
+@example(omega_a=3.683534797907487, omega_b=0.28041593233669865, ulps=1)
+@example(omega_a=4.32383084223908, omega_b=2.524407423277123, ulps=1)
+def test_normal_modes_just_inside_the_stability_boundary(omega_a, omega_b, ulps):
+    # lambda a few ulps below sqrt(wa wb) / 2: the lower eigenvalue of the
+    # quadratic form cancels to zero or below in eigh
+    g = math.sqrt(omega_a * omega_b) / 2.0
+    for _ in range(ulps):
+        g = math.nextafter(g, 0.0)
+    params = ModelParams(omega_a, omega_b, g, 1)
+    assume(params.bilinear_stable())
+    modes = normal_modes(params)
+    assert 0.0 < modes.omega_minus < 1e-6 * modes.omega_plus
+    assert modes.omega_plus == pytest.approx(math.hypot(omega_a, omega_b), rel=1e-12)
 
 
 def test_normal_modes_requires_stability():

@@ -221,6 +221,12 @@ CASES = [
     ("output-dir-number", ["spectrum"], {"output": {"dir": 5}}),
     # detuned and unstable: refused on resonance first, as witness_evaluate checks
     ("witness-detuned-unstable", ["witness"], {"params": {"omega_b": 1.4, "g": 0.6}}),
+    # 4 lambda^2 lies a few ulps below omega_a omega_b: the lower eigenvalue of
+    # the normal-mode form cancels below zero and is taken from its determinant
+    ("spectrum-bilinear-near-stability-boundary", ["spectrum"], {
+        "params": {"omega_a": 3.683534797907487, "omega_b": 0.28041593233669865,
+                   "g": 0.5081638133146389},
+    }),
 ]
 
 
