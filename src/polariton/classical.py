@@ -32,6 +32,9 @@ VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m
 HBAR = 6.62607015e-34 / (2 * math.pi)  # J s
 
 PROMINENCE_FLOOR = 0.01  # fraction of the global maximum
+# probe frequencies evaluated at a time: the Airy formula's complex
+# temporaries then take about 1.5 MB however long the grid is
+BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -149,10 +152,11 @@ def transmission_spectrum(cavity: CavityParams, omegas) -> SpectrumSeries:
         T(w) = | t^2 e^{i phi} / (1 - r^2 e^{2 i phi}) |^2,
         phi = w sqrt(eps(w)) L_c / c,  t^2 = 1 - r^2,
 
-    on an ascending frequency grid.  Warns (without failing) if the grid
-    does not bracket the dipole resonance or if the cavity is not tuned to
-    it, since the splitting analysis assumes both; raises NumericalError,
-    naming the first such frequency, if any intensity is not finite."""
+    on an ascending frequency grid, BLOCK_POINTS frequencies at a time.
+    Warns (without failing) if the grid does not bracket the dipole
+    resonance or if the cavity is not tuned to it, since the splitting
+    analysis assumes both; raises NumericalError, naming the first such
+    frequency, if any intensity is not finite."""
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size < 2:
         raise ConfigurationError("frequency grid must hold at least two points")
@@ -170,13 +174,16 @@ def transmission_spectrum(cavity: CavityParams, omegas) -> SpectrumSeries:
         )
     if not (omegas[0] <= cavity.omega_b <= omegas[-1]):
         warnings.warn("frequency grid does not bracket the dipole resonance", stacklevel=2)
+    r2 = cavity.reflectivity**2
+    t2 = 1.0 - r2
+    intensities = np.empty_like(omegas)
     with np.errstate(all="ignore"):  # a non-finite intensity is refused below
-        eps = lorentz_permittivity(cavity, omegas)
-        phi = omegas * np.sqrt(eps) * cavity.length / SPEED_OF_LIGHT
-        r2 = cavity.reflectivity**2
-        t2 = 1.0 - r2
-        amplitude = t2 * np.exp(1j * phi) / (1.0 - r2 * np.exp(2j * phi))
-        intensities = np.abs(amplitude) ** 2
+        for start in range(0, omegas.size, BLOCK_POINTS):
+            block = omegas[start : start + BLOCK_POINTS]
+            eps = lorentz_permittivity(cavity, block)
+            phi = block * np.sqrt(eps) * cavity.length / SPEED_OF_LIGHT
+            amplitude = t2 * np.exp(1j * phi) / (1.0 - r2 * np.exp(2j * phi))
+            intensities[start : start + BLOCK_POINTS] = np.abs(amplitude) ** 2
     bad = ~np.isfinite(intensities)
     if bad.any():
         raise NumericalError(

@@ -615,12 +615,8 @@ def cmd_dynamics(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _classical_point(cfg, cavity) -> Result:
-    if cfg.freq_grid is not None:
-        lo, hi, n = cfg.freq_grid
-        omegas = np.linspace(lo, hi, n)
-    else:
-        omegas = default_grid(cavity, 4001)
+def _classical_point(cavity, grid) -> Result:
+    omegas = default_grid(cavity, 4001) if grid is None else grid
     spectrum = transmission_spectrum(cavity, omegas)
     report = peak_splitting(spectrum)
     payload = {
@@ -650,7 +646,9 @@ def cmd_classical(cfg: RunConfig, args) -> int:
     if cfg.cavity is None:
         raise ConfigurationError("classical runs need a cavity block in the config")
     name, points = _sweep_points(cfg, classical=True)
-    results = [_classical_point(cfg, cavity) for _, cavity in points]
+    # a configured grid is one array that every point's table shares
+    grid = None if cfg.freq_grid is None else np.linspace(*cfg.freq_grid)
+    results = [_classical_point(cavity, grid) for _, cavity in points]
     headers = ("splitting [rad/s]", "predicted_splitting [rad/s]", "flag")
     _emit_points(cfg, "classical", name, points, results, headers if name else ())
     flags = ", ".join(r.payload["flag"] for r in results)

@@ -336,9 +336,10 @@ def normal_modes(params: ModelParams) -> NormalModes:
     of two that brings it below 2^500, and where it is below 2^-500, by the
     one that brings it into [1/2, 1); this is exact and keeps the squares
     finite and normal, and the scale is divided back out of sqrt(mu).  A few
-    ulps inside the stability boundary the lower eigenvalue cancels to zero
-    or below; it is then taken from the determinant,
-    mu_- = det / mu_+ = (wa wb / mu_+) wa wb (1 - 4 lambda^2 / (wa wb))."""
+    ulps inside the stability boundary, or where wa^2 underflows, the lower
+    eigenvalue cancels or underflows to zero or below; omega_- is then taken
+    from the determinant, sqrt(det / mu_+) = wa wb / sqrt(mu_+)
+    sqrt(1 - 4 lambda^2 / (wa wb)), which underflows only where omega_- does."""
     params.require_bilinear_stable()
     wa, wb, lam = params.omega_a, params.omega_b, params.collective_coupling
     top = max(wa, wb)
@@ -352,11 +353,13 @@ def normal_modes(params: ModelParams) -> NormalModes:
     form = np.array([[wa**2, off], [off, wb**2]])
     mu, vecs = np.linalg.eigh(form)
     if mu[0] <= 0.0:
-        mu[0] = wa * wb / mu[1] * (wa * wb) * (1.0 - params._coupling_ratio())
+        lower = wa * wb / math.sqrt(mu[1]) * math.sqrt(1.0 - params._coupling_ratio())
+    else:
+        lower = math.sqrt(mu[0])
     # deterministic column signs: largest component positive
     vecs *= np.where(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]] < 0.0, -1.0, 1.0)
     return NormalModes(
-        omega_minus=float(math.sqrt(mu[0]) / unit),
+        omega_minus=float(lower / unit),
         omega_plus=float(math.sqrt(mu[1]) / unit),
         mode_matrix=vecs,
     )

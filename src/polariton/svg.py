@@ -22,10 +22,11 @@ N_TICKS = 5
 # the same bytes for a whole float64 CSV column at once.
 NUMBER_FORMAT = "%.12g"
 POINT_FORMAT = "%.2f"
-# rows formatted at a time: a 100001 x 2 table peaked at 24 MB of traced
-# memory formatted whole, 5.5 MB in blocks of this size (14 MB with per-value
-# %), and blocks of 4096 took 40% longer
-BLOCK_ROWS = 16384
+# cells formatted at a time, BLOCK_CELLS // columns rows a block, so a block
+# takes the same memory whatever the table's width: traced, a 100001 x 2
+# float table peaks at 2.8 MB and a 20000 x 6 one at 2.2 MB, where blocks of
+# 16384 rows took 5.6 and 12.5 MB, at the same speed
+BLOCK_CELLS = 16384
 
 # 10**k for every k the number rule can scale by, each a correctly rounded literal
 _POW10_LO, _POW10_HI = -297, 308
@@ -106,13 +107,14 @@ def _text_layout(cells) -> np.ndarray:
 
 
 def _rows(columns, separators: bytes):
-    """Yield the text of the rows of columns, BLOCK_ROWS rows at a time.  A
-    float64 column is laid out by _number_layout, any other column is a uint8
-    layout already (_text_layout); separators[i] follows the cell of column
-    i, and rows past the shortest column are dropped."""
+    """Yield the text of the rows of columns, about BLOCK_CELLS cells at a
+    time.  A float64 column is laid out by _number_layout, any other column
+    is a uint8 layout already (_text_layout); separators[i] follows the cell
+    of column i, and rows past the shortest column are dropped."""
     rows = min((column.shape[-1] for column in columns), default=0)
-    for start in range(0, rows, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, rows)
+    step = max(BLOCK_CELLS // max(len(columns), 1), 1)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
         parts = []
         for column, separator in zip(columns, separators):
             parts.append(_number_layout(column[start:stop]) if column.ndim == 1
@@ -150,12 +152,15 @@ def _m4(px, py):
     column: they light the run's pixels (M4; Jugel et al., PVLDB 7(10), 2014)."""
     column = np.floor(px)
     starts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+    del column  # at most one more array of the points' size is alive below
     ends = np.r_[starts[1:], px.size] - 1
-    run = np.repeat(np.arange(starts.size), ends - starts + 1)
-    order = np.lexsort((py, run))  # stable: each run in place, ascending py
-    keep = np.zeros(px.size, bool)
-    keep[np.r_[starts, ends, order[starts], order[ends]]] = True
-    return np.flatnonzero(keep)
+    lengths = ends - starts + 1
+    # every run holds its least and greatest py, so the first least at or
+    # after a run's start and the last greatest at or before its end are its own
+    least = np.flatnonzero(py == np.repeat(np.minimum.reduceat(py, starts), lengths))
+    greatest = np.flatnonzero(py == np.repeat(np.maximum.reduceat(py, starts), lengths))
+    return np.unique(np.r_[starts, ends, least[np.searchsorted(least, starts)],
+                           greatest[np.searchsorted(greatest, ends, "right") - 1]])
 
 
 def line_chart(xs, ys, *, title="", x_label="", y_label="") -> str:
@@ -175,8 +180,9 @@ def line_chart(xs, ys, *, title="", x_label="", y_label="") -> str:
         py = _scale(ys, y_lo, y_hi, plot_h0, plot_h1)
     if not (np.isfinite(px).all() and np.isfinite(py).all()):
         raise NumericalError(f"chart '{title}' would plot a non-finite point")
-    kept = np.column_stack([px, py])[_m4(px, py)].ravel().tolist()
-    points = " ".join([f"{POINT_FORMAT},{POINT_FORMAT}"] * (len(kept) // 2)) % tuple(kept)
+    kept = _m4(px, py)
+    coords = np.column_stack([px[kept], py[kept]]).ravel().tolist()
+    points = " ".join([f"{POINT_FORMAT},{POINT_FORMAT}"] * kept.size) % tuple(coords)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

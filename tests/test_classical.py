@@ -1,5 +1,7 @@
 """Dispersive cavity transmission and its quantum counterpart."""
 import math
+import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.constants import c as LIGHT_SPEED
 
 from polariton.classical import (
+    BLOCK_POINTS,
+    SPEED_OF_LIGHT,
     CavityParams,
     _peak_indices,
     _refine,
@@ -24,7 +28,7 @@ from polariton.classical import (
     transmission_spectrum,
 )
 from polariton.cli import reference_cavity
-from polariton.errors import DomainError
+from polariton.errors import DomainError, NumericalError
 from polariton.series import SpectrumSeries
 from polariton.spectral import normal_modes
 
@@ -100,6 +104,53 @@ def test_empty_cavity_matches_airy_formula_elementwise():
     t = (1.0 - r2) / (1.0 - r2 * np.exp(2j * phase))
     expected = np.abs(t) ** 2
     assert np.allclose(got, expected, atol=1e-13)
+
+
+def _whole_grid_intensities(cavity, omegas):
+    """The Airy formula over the whole grid at once, with the operations and
+    order of transmission_spectrum; the reference its blocks must match."""
+    with np.errstate(all="ignore"):
+        eps = lorentz_permittivity(cavity, omegas)
+        phi = omegas * np.sqrt(eps) * cavity.length / SPEED_OF_LIGHT
+        r2 = cavity.reflectivity**2
+        t2 = 1.0 - r2
+        amplitude = t2 * np.exp(1j * phi) / (1.0 - r2 * np.exp(2j * phi))
+        return np.abs(amplitude) ** 2
+
+
+@pytest.mark.parametrize("n", [BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1, 100001])
+def test_blocked_transmission_keeps_the_whole_grid_bits(n):
+    cav = reference_cavity()
+    omegas = np.linspace(0.7 * cav.omega_b, 1.3 * cav.omega_b, n)
+    got = transmission_spectrum(cav, omegas).intensities
+    expected = _whole_grid_intensities(cav, omegas)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_blocked_transmission_names_the_first_non_finite_frequency():
+    # finite on the first block, overflowing from a point in the second on
+    cav = reference_cavity()
+    finite = np.linspace(0.7 * cav.omega_b, 1.3 * cav.omega_b, BLOCK_POINTS + 7)
+    omegas = np.concatenate([finite, np.geomspace(1e300, 1e307, 9)])
+    bad = ~np.isfinite(_whole_grid_intensities(cav, omegas))
+    assert bad.argmax() == finite.size
+    message = f"transmission is not finite at omega = {omegas[bad.argmax()]:.12g} rad/s"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        transmission_spectrum(cav, omegas)
+
+
+def test_transmission_memory_does_not_grow_with_the_grid():
+    cav = reference_cavity()
+    omegas = np.linspace(0.7 * cav.omega_b, 1.3 * cav.omega_b, 100001)
+    transmission_spectrum(cav, omegas)
+    tracemalloc.start()
+    try:
+        transmission_spectrum(cav, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 0.8 MB of intensities and one block's temporaries; 8.0 MB over the whole grid
+    assert peak < 3e6
 
 
 def test_permittivity_limits():

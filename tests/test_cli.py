@@ -1113,28 +1113,64 @@ def test_block_edges_write_what_the_per_cell_rule_writes(tmp_path):
     from polariton import svg
     from polariton.cli import _write_csv
 
-    block = svg.BLOCK_ROWS
     tie = float("1234567890125e-12")  # a near-tie that the kernel leaves to %
-    for rows in (block - 1, block, block + 1):
-        values = np.linspace(-3.0, 5.0, rows)
-        for i in (0, block - 1, block, rows - 1):
-            if i < rows:
-                values[i] = tie if i % 2 else 0.0
-        labels = ["split" if i % 3 else "" for i in range(rows)]
-        table = {"x [1]": values, "flag": labels, "y [1]": values[::-1].copy()}
-        _write_csv(tmp_path / "t.csv", table)
-        expected = ["x [1],flag,y [1]"] + [
-            f"{x:.12g},{label},{y:.12g}" for x, label, y in zip(values, labels, values[::-1])
-        ]
-        assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
-        chart = svg.line_chart(values, values ** 2)
-        xs = svg._scale(values, values.min(), values.max(),
-                        svg.MARGIN_LEFT, svg.WIDTH - svg.MARGIN_RIGHT)
-        ys = svg._scale(values ** 2, (values ** 2).min(), (values ** 2).max(),
-                        svg.HEIGHT - svg.MARGIN_BOTTOM, svg.MARGIN_TOP)
-        assert _polyline_points(chart) == [
-            svg.POINT_FORMAT % xs[i] + "," + svg.POINT_FORMAT % ys[i] for i in _m4_reference(xs, ys)
-        ]
+    for width in (1, 2, 3, 6):
+        block = svg.BLOCK_CELLS // width  # the rows of one block of this table
+        for rows in (block - 1, block, block + 1):
+            values = np.linspace(-3.0, 5.0, rows)
+            for i in (0, block - 1, block, rows - 1):
+                if i < rows:
+                    values[i] = tie if i % 2 else 0.0
+            labels = ["split" if i % 3 else "" for i in range(rows)]
+            # float, text and reversed float columns in turn, width of them
+            columns = [values, labels, values[::-1].copy()] * 2
+            texts = [[f"{x:.12g}" for x in values], labels,
+                     [f"{y:.12g}" for y in values[::-1]]] * 2
+            headers = ["x [1]", "flag", "y [1]", "x2 [1]", "flag2", "y2 [1]"][:width]
+            _write_csv(tmp_path / "t.csv", dict(zip(headers, columns)))
+            expected = [",".join(headers)] + [",".join(row) for row in zip(*texts[:width])]
+            assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+            chart = svg.line_chart(values, values ** 2)
+            xs = svg._scale(values, values.min(), values.max(),
+                            svg.MARGIN_LEFT, svg.WIDTH - svg.MARGIN_RIGHT)
+            ys = svg._scale(values ** 2, (values ** 2).min(), (values ** 2).max(),
+                            svg.HEIGHT - svg.MARGIN_BOTTOM, svg.MARGIN_TOP)
+            assert _polyline_points(chart) == [
+                svg.POINT_FORMAT % xs[i] + "," + svg.POINT_FORMAT % ys[i]
+                for i in _m4_reference(xs, ys)
+            ]
+
+
+def _traced_peak(call):
+    """The tracemalloc peak, in bytes, of call() after one untraced call."""
+    import tracemalloc
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rows, width, bound", [(20000, 6, 3e6), (100001, 2, 3.5e6)])
+def test_csv_memory_does_not_grow_with_the_table(tmp_path, rows, width, bound):
+    from polariton.cli import _write_csv
+
+    rng = np.random.default_rng(7)
+    table = {f"c{j} [1]": rng.normal(size=rows) for j in range(width)}
+    # one block of fixed cells; blocks of 16384 rows took 12.5 and 5.6 MB
+    assert _traced_peak(lambda: _write_csv(tmp_path / "t.csv", table)) < bound
+
+
+def test_chart_memory_holds_only_the_kept_points():
+    from polariton import svg
+
+    xs = np.linspace(1.68e15, 3.12e15, 100001)
+    ys = np.sin(np.linspace(0.0, 50.0, xs.size)) ** 2
+    # the scaled points and one temporary of their size; 5.7 MB with a sort of all points
+    assert _traced_peak(lambda: svg.line_chart(xs, ys)) < 4.5e6
 
 
 def test_text_cells_refuse_a_nul():

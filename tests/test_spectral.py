@@ -80,6 +80,15 @@ def test_normal_modes_just_inside_the_stability_boundary(omega_a, omega_b, ulps)
     assert modes.omega_plus == pytest.approx(math.hypot(omega_a, omega_b), rel=1e-12)
 
 
+@pytest.mark.parametrize("omega_a, omega_b", [(1e-300, 1.0), (1.0, 1e-300)])
+def test_normal_modes_where_the_smaller_square_underflows(omega_a, omega_b):
+    # 4 lambda^2 / (wa wb) = 0.04: a stable model whose wa^2 wb^2 underflows,
+    # while omega_- = wa wb sqrt(1 - 0.04) / omega_+ is a normal float
+    modes = normal_modes(ModelParams(omega_a, omega_b, 1e-151, 1))
+    assert modes.omega_plus == 1.0
+    assert modes.omega_minus == pytest.approx(1e-300 * math.sqrt(0.96), rel=1e-12)
+
+
 def test_normal_modes_requires_stability():
     with pytest.raises(DomainError):
         normal_modes(ModelParams.from_collective(1.0, 1.0, 0.5))
