@@ -7,6 +7,16 @@ verification failure.  All floating-point output is printed with 12
 significant digits so repeated runs with the same config and seed produce
 byte-identical files.  Sweep points run one after another in the calling
 thread; BLAS threads are set as usual, e.g. by OPENBLAS_NUM_THREADS.
+
+A run commits its result files together.  Each point's files are written as
+the point completes, into a staging directory inside the output directory,
+and only the point's payload is kept for the summary and the stdout line.
+Once every point and the summary have succeeded, each file is moved into the
+output directory with os.replace; the staging directory is removed on
+success and on any failure, so a failed run lands no file.  A crash during
+the final renames can leave part of the files, and a process killed before
+its cleanup leaves the staging directory.  verify_report.json and the
+witness refusal file are written directly.
 """
 from __future__ import annotations
 
@@ -16,7 +26,9 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -393,31 +405,43 @@ class Result:
     charts: dict = dataclasses.field(default_factory=dict)
 
 
-def _emit(cfg: RunConfig, stem: str, result: Result) -> None:
-    """Write {stem}{suffix}.csv/.svg and {stem}.json for each selected format."""
+def _emit(cfg: RunConfig, directory: Path, stem: str, result: Result) -> dict | None:
+    """Write {stem}{suffix}.csv/.svg and {stem}.json into directory for each
+    selected format, and return the payload."""
     if "csv" in cfg.formats:
         for suffix, table in result.tables.items():
-            _write_csv(cfg.out_dir / f"{stem}{suffix}.csv", table)
+            _write_csv(directory / f"{stem}{suffix}.csv", table)
     if "json" in cfg.formats and result.payload is not None:
-        _write_json(cfg.out_dir / f"{stem}.json", result.payload)
+        _write_json(directory / f"{stem}.json", result.payload)
     if "svg" in cfg.formats:
         for suffix, (title, x_label, y_label) in result.charts.items():
             xs, ys = list(result.tables[suffix].values())[:2]
             chart = svg.line_chart(xs, ys, title=title, x_label=x_label, y_label=y_label)
-            (cfg.out_dir / f"{stem}{suffix}.svg").write_text(chart)
+            (directory / f"{stem}{suffix}.svg").write_text(chart)
+    return result.payload
 
 
-def _emit_points(cfg: RunConfig, verb: str, name, points, results, headers=()) -> None:
-    """Write each point's files, stem {verb} or {verb}_{i:03d} in a sweep, and
-    with headers {verb}_summary.csv: the sweep axis (the point index when
+def _emit_points(cfg: RunConfig, verb: str, name, points, point, headers=()) -> list:
+    """Run point(cfg, params_or_cavity) for each point and write its files at
+    once, stem {verb} or {verb}_{i:03d} in a sweep, keeping only its payload;
+    with headers also {verb}_summary.csv: the sweep axis (the point index when
     nothing is swept), then one column per header, read from the payload key
-    that the header starts with."""
-    for i, result in enumerate(results):
-        _emit(cfg, f"{verb}_{i:03d}" if name else verb, result)
-    if headers:
-        axis = {name: [value for value, _ in points]} if name else {"point": range(len(points))}
-        table = {**axis, **{h: [r.payload[h.split()[0]] for r in results] for h in headers}}
-        _emit(cfg, f"{verb}_summary", Result(tables={"": table}))
+    that the header starts with.  The files go into a staging directory in
+    out_dir and move into out_dir only when all of them are written; the
+    staging directory is removed in any case.  Returns the payloads."""
+    staging = Path(tempfile.mkdtemp(prefix=".polariton-staging-", dir=cfg.out_dir))
+    try:
+        payloads = [_emit(cfg, staging, f"{verb}_{i:03d}" if name else verb, point(cfg, params))
+                    for i, (_, params) in enumerate(points)]
+        if headers:
+            axis = {name: [value for value, _ in points]} if name else {"point": range(len(points))}
+            table = {**axis, **{h: [p[h.split()[0]] for p in payloads] for h in headers}}
+            _emit(cfg, staging, f"{verb}_summary", Result(tables={"": table}))
+        for file in os.listdir(staging):
+            os.replace(staging / file, cfg.out_dir / file)
+    finally:
+        shutil.rmtree(staging)
+    return payloads
 
 
 def _require_model(cfg: RunConfig, what: str, models) -> None:
@@ -462,11 +486,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     if cfg.model == "classical":
         return cmd_classical(cfg, args)
     name, points = _sweep_points(cfg, classical=False)
-    results = [_spectrum_point(cfg, params) for _, params in points]
     headers = ("ground_energy [hbar=1 input frequency units]",
                "first_gap [hbar=1 input frequency units]")
-    _emit_points(cfg, "spectrum", name, points, results, headers if name else ())
-    print(f"spectrum: wrote {len(results)} point(s) to {cfg.out_dir}")
+    _emit_points(cfg, "spectrum", name, points, _spectrum_point, headers if name else ())
+    print(f"spectrum: wrote {len(points)} point(s) to {cfg.out_dir}")
     return 0
 
 
@@ -509,21 +532,20 @@ def _witness_point(cfg, params) -> Result:
 def cmd_witness(cfg: RunConfig, args) -> int:
     _require_model(cfg, "witness", ("bilinear",))
     name, points = _sweep_points(cfg, classical=False)
+    headers = ("witness_value [hbar=1 input frequency units]", "verdict",
+               "entropy_fock [1]", "entropy_gaussian [1]", "entropy_predicted [1]")
     try:
-        results = [_witness_point(cfg, params) for _, params in points]
+        payloads = _emit_points(cfg, "witness", name, points, _witness_point, headers)
     except DomainError as exc:
-        _emit(cfg, "witness", Result({"status": "refused", "reason": str(exc)}))
+        _emit(cfg, cfg.out_dir, "witness", Result({"status": "refused", "reason": str(exc)}))
         print(f"witness: refused ({exc})", file=sys.stderr)
         return 1
-    _emit_points(cfg, "witness", name, points, results,
-                 ("witness_value [hbar=1 input frequency units]", "verdict",
-                  "entropy_fock [1]", "entropy_gaussian [1]", "entropy_predicted [1]"))
-    verdicts = ", ".join(r.payload["verdict"] for r in results)
+    verdicts = ", ".join(p["verdict"] for p in payloads)
     print(f"witness: {verdicts} (files in {cfg.out_dir})")
     return 0
 
 
-def _rabi_flop(cfg, params):
+def _rabi_flop(cfg, params) -> Result:
     _require_model(cfg, "rabi-flop", BUILDERS)
     # dt must resolve the spectral radius of the default truncation
     grid = dataclasses.replace(TimeGrid(32768, 0.01), **cfg.grid)
@@ -548,10 +570,10 @@ def _rabi_flop(cfg, params):
     }
     charts = {"": ("matter excitation", "time", "<n_b>"),
               "_spectrum": ("flopping spectrum", "omega", "power")}
-    return Result(payload, tables, charts), f"dominant frequency {svg._fmt(peak)}"
+    return Result(payload, tables, charts)
 
 
-def _semiclassical(cfg, params):
+def _semiclassical(cfg, params) -> Result:
     _require_model(cfg, "semiclassical", ("bilinear",))
     grid = dataclasses.replace(TimeGrid(20000, 0.01), **cfg.grid)
     traj = semiclassical_trajectory(params, cfg.initial_a, cfg.initial_b, grid)
@@ -567,13 +589,10 @@ def _semiclassical(cfg, params):
     table = {"time [1/input frequency]": traj.times, "re_a [1]": a.real, "im_a [1]": a.imag,
              "re_b [1]": b.real, "im_b [1]": b.imag,
              "energy [hbar=1 input frequency units]": energy}
-    result = Result(payload, {"": table}, {"": ("mean field", "time", "Re <a>")})
-    return result, (
-        f"max |<a>| {svg._fmt(payload['max_abs_a'])}, max |<b>| {svg._fmt(payload['max_abs_b'])}"
-    )
+    return Result(payload, {"": table}, {"": ("mean field", "time", "Re <a>")})
 
 
-def _vacuum_correlation(cfg, params):
+def _vacuum_correlation(cfg, params) -> Result:
     _require_model(cfg, "vacuum-correlation", ("bilinear",))
     grid = dataclasses.replace(TimeGrid(8192, 0.05), **cfg.grid)
     spec = _hilbert(cfg, "bilinear", params, 12)
@@ -594,14 +613,16 @@ def _vacuum_correlation(cfg, params):
     }
     table = {"omega [input frequency units]": spectrum.frequencies,
              "weight [1]": spectrum.intensities}
-    result = Result(payload, {"": table}, {"": ("vacuum correlation spectrum", "omega", "weight")})
-    return result, f"{len(lines)} line(s) above floor"
+    return Result(payload, {"": table}, {"": ("vacuum correlation spectrum", "omega", "weight")})
 
 
+# kind: (its point, its stdout line read from the point's payload)
 _DYNAMICS = {
-    "rabi-flop": _rabi_flop,
-    "semiclassical": _semiclassical,
-    "vacuum-correlation": _vacuum_correlation,
+    "rabi-flop": (_rabi_flop, lambda p: f"dominant frequency {svg._fmt(p['dominant_frequency'])}"),
+    "semiclassical": (_semiclassical, lambda p: f"max |<a>| {svg._fmt(p['max_abs_a'])}, "
+                                                f"max |<b>| {svg._fmt(p['max_abs_b'])}"),
+    "vacuum-correlation": (_vacuum_correlation,
+                           lambda p: f"{len(p['peaks'])} line(s) above floor"),
 }
 
 
@@ -609,9 +630,9 @@ def cmd_dynamics(cfg: RunConfig, args) -> int:
     kind = args.kind
     if cfg.sweep is not None:
         raise ConfigurationError("dynamics does not support sweeps")
-    result, message = _DYNAMICS[kind](cfg, cfg.params)
-    _emit(cfg, kind.replace("-", "_"), result)
-    print(f"dynamics {kind}: {message}")
+    point, message = _DYNAMICS[kind]
+    [payload] = _emit_points(cfg, kind.replace("-", "_"), None, [(None, cfg.params)], point)
+    print(f"dynamics {kind}: {message(payload)}")
     return 0
 
 
@@ -648,10 +669,11 @@ def cmd_classical(cfg: RunConfig, args) -> int:
     name, points = _sweep_points(cfg, classical=True)
     # a configured grid is one array that every point's table shares
     grid = None if cfg.freq_grid is None else np.linspace(*cfg.freq_grid)
-    results = [_classical_point(cavity, grid) for _, cavity in points]
     headers = ("splitting [rad/s]", "predicted_splitting [rad/s]", "flag")
-    _emit_points(cfg, "classical", name, points, results, headers if name else ())
-    flags = ", ".join(r.payload["flag"] for r in results)
+    payloads = _emit_points(cfg, "classical", name, points,
+                            lambda cfg, cavity: _classical_point(cavity, grid),
+                            headers if name else ())
+    flags = ", ".join(p["flag"] for p in payloads)
     print(f"classical: {flags} (files in {cfg.out_dir})")
     return 0
 

@@ -33,9 +33,11 @@ from .spectral import DEFAULT_SEED, eigendecompose, normal_modes
 
 DT_FACTOR = 0.5  # require dt * max|eigenvalue| < 0.5
 ENERGY_DRIFT_TOL = 1e-9
-# rows of the phase table in rabi_flop_signal, and samples per block of its
-# quadratic form, bounding the block temporaries
+# rows of the phase table in rabi_flop_signal, which fix its arithmetic, and
+# the rows of that table each GEMM of its quadratic form takes, which bound the
+# temporaries: z, [Re z; Im z] and their product with the form
 _CHUNK = 1024
+_SLICE = 256
 
 
 def _check_dt(grid: TimeGrid, lambda_max: float) -> None:
@@ -80,8 +82,8 @@ def rabi_flop_signal(
     the live modes (c_k != 0), psi(t) = (V c) z(t) and the signal is the
     quadratic form z^H M z with the real symmetric M = (V c)^T diag(k) (V c),
     built once.  On the uniform grid z at sample s + j is a row of one
-    table exp(-i E t_j), j < _CHUNK, times exp(-i E t_s), so each block of
-    samples is one real GEMM [Re z; Im z] @ M.  The result differs from a
+    table exp(-i E t_j), j < _CHUNK, times exp(-i E t_s), so each _SLICE
+    samples are one real GEMM [Re z; Im z] @ M.  The result differs from a
     per-sample superposition (_superpose, then sum_i k_i |psi_i|^2) only by
     round-off."""
     if model not in BUILDERS:
@@ -101,13 +103,16 @@ def rabi_flop_signal(
     weights = np.tile(np.arange(spec.matter_dim, dtype=float), spec.photon_dim)
     form = modes.T @ (weights[:, None] * modes)
     times = grid.times
-    table = np.exp(-1j * np.outer(times[:_CHUNK], energies))
+    table = -1j * np.outer(times[:_CHUNK], energies)
+    np.exp(table, out=table)
     signal = np.empty(times.size)
     for start in range(0, times.size, _CHUNK):
-        z = table[: times.size - start] * np.exp(-1j * times[start] * energies)
-        x = np.concatenate((z.real, z.imag))
-        both = np.einsum("ij,ij->i", x @ form, x)
-        signal[start : start + len(z)] = both[: len(z)] + both[len(z) :]
+        shift = np.exp(-1j * times[start] * energies)
+        for row in range(0, min(_CHUNK, times.size - start), _SLICE):
+            z = table[row : min(row + _SLICE, times.size - start)] * shift
+            x = np.concatenate((z.real, z.imag))
+            both = np.einsum("ij,ij->i", x @ form, x)
+            signal[start + row : start + row + len(z)] = both[: len(z)] + both[len(z) :]
     return Trajectory(times=times, channels={"matter_excitation": signal})
 
 

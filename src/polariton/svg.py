@@ -24,7 +24,7 @@ NUMBER_FORMAT = "%.12g"
 POINT_FORMAT = "%.2f"
 # cells formatted at a time, BLOCK_CELLS // columns rows a block, so a block
 # takes the same memory whatever the table's width: traced, a 100001 x 2
-# float table peaks at 2.8 MB and a 20000 x 6 one at 2.2 MB, where blocks of
+# float table peaks at 2.4 MB and a 20000 x 6 one at 2.2 MB, where blocks of
 # 16384 rows took 5.6 and 12.5 MB, at the same speed
 BLOCK_CELLS = 16384
 
@@ -72,8 +72,10 @@ def _number_layout(x):
     mantissa[carry] = 1e11
     e += carry
     high, low = np.divmod(mantissa.astype(np.int64), 1000000)
-    digits = np.concatenate([half.astype(np.int32) // _PLACES6 % 10 for half in (high, low)])
-    last = ((digits != 0) * _DIGIT).max(axis=0)  # the digits after it are dropped zeros
+    digits = np.concatenate([half.astype(np.int32) // _PLACES6 % 10 for half in (high, low)],
+                            dtype=np.uint8, casting="unsafe")
+    # the last nonzero digit; the digits after it are dropped zeros
+    last = 11 - np.argmax(digits[::-1] != 0, axis=0)
     fixed = (e >= -4) & (e < 12)
     below_one = fixed & (e < 0)
     point = np.where(fixed & (e >= 0), e, 0)  # the digit the dot follows
@@ -84,7 +86,9 @@ def _number_layout(x):
     layout[2] = below_one * _DOT
     for i in range(3):
         layout[3 + i] = (below_one & (e <= -2 - i)) * _ZERO
-    layout[6:30:2] = (_DIGIT <= np.maximum(last, point)) * (digits + _ZERO)
+    digits += _ZERO
+    digits *= _DIGIT <= np.maximum(last, point)
+    layout[6:30:2] = digits
     dotted = np.flatnonzero((last > point) & ~below_one)
     layout[7 + 2 * point[dotted], dotted] = _DOT
     scientific = ~fixed

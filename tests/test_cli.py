@@ -1252,3 +1252,95 @@ def test_a_build_that_cannot_fit_is_refused_before_it_allocates(tmp_path, capsys
     err = capsys.readouterr().err
     assert "out of memory" in err and "100489" in err
     assert not any((tmp_path / "big").iterdir())
+
+
+def _refuse_call(monkeypatch, module, name, n):
+    """Make module.name raise NumericalError on its n-th call."""
+    from polariton.errors import NumericalError
+
+    real, calls = getattr(module, name), []
+
+    def refused(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == n:
+            raise NumericalError(f"{name} refused on call {n}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, refused)
+
+
+def _classical_sweep(n, values=(25, 100, 400)):
+    """A classical n_dipoles sweep on a freq_grid of n points."""
+    omega_b = reference_cavity().omega_b
+    return {
+        "model": "classical", "cavity": _cavity_block(),
+        "freq_grid": {"min": 0.7 * omega_b, "max": 1.3 * omega_b, "n": n},
+        "sweep": {"name": "n_dipoles", "values": list(values)},
+    }
+
+
+_FAILED_RUNS = {
+    # the chart of the last point of a sweep, written after its CSV and JSON
+    "classical-last-chart": (["classical"], _classical_sweep(2001), "svg", "line_chart", 3),
+    # the first of its two charts, written after both CSVs and the JSON
+    "rabi-flop-chart": (["dynamics", "rabi-flop"], {"grid": {"n_samples": 1024}},
+                        "svg", "line_chart", 1),
+    "spectrum-last-point": (["spectrum", "--sweep", "g=0.1,0.2,0.3"], {},
+                            "cli", "_spectrum_point", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILED_RUNS))
+def test_a_run_that_fails_midway_lands_no_file(tmp_path, capsys, monkeypatch, case):
+    from polariton import cli, svg
+
+    argv, config, module, name, n = _FAILED_RUNS[case]
+    _refuse_call(monkeypatch, {"cli": cli, "svg": svg}[module], name, n)
+    out = tmp_path / "out"
+    path = _write_config(tmp_path / "cfg.json", config)
+    assert main([*argv, "--config", path, "--format", "csv,json,svg", "--out", str(out)]) == 2
+    assert f"{name} refused on call {n}" in capsys.readouterr().err
+    # neither a result file nor the staging directory
+    assert not list(out.iterdir())
+
+
+def test_a_failed_run_keeps_the_previous_runs_files(tmp_path, capsys, monkeypatch):
+    from polariton import svg
+
+    out = tmp_path / "out"
+    flags = ["--format", "csv,json,svg", "--out", str(out)]
+    assert main(["spectrum", "--sweep", "g=0.1,0.2,0.3", *flags]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    # other values, so that a file written before the failure would differ
+    _refuse_call(monkeypatch, svg, "line_chart", 3)
+    assert main(["spectrum", "--sweep", "g=0.15,0.25,0.35", *flags]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_a_run_commits_only_its_own_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spectrum", "--sweep", "g=0.1,0.2,0.3", "--out", str(out)]) == 0
+    earlier = (out / "spectrum_002.json").read_bytes()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["spectrum", "--sweep", "g=0.2,0.3", "--out", str(out)]) == 0
+    # no staging directory is left
+    names = sorted(path.name for path in out.iterdir())
+    assert names == ["notes.txt", *(f"spectrum_{i:03d}.{ext}" for i in range(3)
+                                    for ext in ("csv", "json")), "spectrum_summary.csv"]
+    # written by the first run only, so untouched by the second
+    assert (out / "spectrum_002.json").read_bytes() == earlier
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert json.loads((out / "spectrum_001.json").read_text())["g"] == 0.3
+
+
+def test_classical_sweep_memory_does_not_grow_with_its_points(tmp_path, capsys):
+    peaks = []
+    for values in ([100], [25, 50, 100, 200, 400]):
+        path = _write_config(tmp_path / f"classical{len(values)}.json",
+                             _classical_sweep(100001, values))
+        argv = ["classical", "--config", path, "--format", "csv,json,svg",
+                "--out", str(tmp_path / f"out{len(values)}")]
+        peaks.append(_traced_peak(lambda: main(argv)))
+    # each point's intensities are written and dropped before the next point;
+    # held until the end, five points took 3.1 MiB more than one
+    assert peaks[1] - peaks[0] < 0.5 * 2**20

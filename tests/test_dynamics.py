@@ -1,6 +1,7 @@
 """Flopping signals and spectra, the mean-field counterpart and the vacuum
 correlation spectrum."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from polariton.dynamics import (
     _CHUNK,
+    _SLICE,
     _superpose,
     flop_spectrum,
     rabi_flop_signal,
@@ -64,7 +66,7 @@ def test_jc_flop_is_an_exact_cosine():
     g=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
     n_atoms=st.integers(1, 4),
     cutoff=st.integers(1, 6),
-    n_samples=st.sampled_from([2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 37]),
+    n_samples=st.sampled_from([2, _SLICE + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 37]),
     step=st.floats(0.05, 0.99),
 )
 def test_flop_signal_matches_the_per_sample_superposition(model, g, n_atoms, cutoff, n_samples, step):
@@ -81,6 +83,21 @@ def test_flop_signal_matches_the_per_sample_superposition(model, g, n_atoms, cut
     expected = (np.abs(states) ** 2) @ weights
     gap = np.max(np.abs(traj.channels["matter_excitation"] - expected))
     assert gap <= 1e-12 * max(1, spec.matter_dim)
+
+
+def test_flop_signal_memory_holds_one_table_and_one_slice():
+    params = ModelParams(1.0, 1.0, 0.1, 1)
+    grid = TimeGrid(32768, 0.01)
+    rabi_flop_signal(params, grid)
+    tracemalloc.start()
+    try:
+        rabi_flop_signal(params, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 1024-row phase table and the temporaries of one 256-row slice;
+    # 6.3 MiB when z, [Re z; Im z] and the GEMM took the whole table
+    assert peak < 4.5 * 2**20
 
 
 def test_flop_spectrum_peak_for_jc():
