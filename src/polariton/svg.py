@@ -24,16 +24,37 @@ NUMBER_FORMAT = "%.12g"
 POINT_FORMAT = "%.2f"
 # cells formatted at a time, BLOCK_CELLS // columns rows a block, so a block
 # takes the same memory whatever the table's width: traced, a 100001 x 2
-# float table peaks at 2.4 MB and a 20000 x 6 one at 2.2 MB, where blocks of
-# 16384 rows took 5.6 and 12.5 MB, at the same speed
+# float table peaks at 2.35 MB and a 20000 x 6 one at 2.25 MB (the number
+# kernel alone 1.7 MB), where blocks of 16384 rows took 5.6 and 12.5 MB, at
+# the same speed
 BLOCK_CELLS = 16384
 
-# 10**k for every k the number rule can scale by, each a correctly rounded literal
-_POW10_LO, _POW10_HI = -297, 308
-_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_LO, _POW10_HI + 1)])
-_PLACES6 = 10 ** np.arange(5, -1, -1, dtype=np.int32)[:, None]
-_DIGIT = np.arange(12, dtype=np.int32)[:, None]
+# The tables of the number kernel.  A mantissa's 12 digits are three 4-digit
+# groups; a group's entry, at its value, is its ASCII digits in memory order
+# as one uint32, and the place (0-3) of its last nonzero digit, or -9 for a
+# zero group, so that it never holds a mantissa's last nonzero digit.
 _ZERO, _DOT, _MINUS, _PLUS, _E = b"0.-+e"
+_GROUP_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+_GROUP_TEXT = np.ascontiguousarray((_GROUP_DIGITS + _ZERO).T).view(np.uint32).ravel()
+_GROUP_LAST = np.where(_GROUP_DIGITS > 0, np.arange(4, dtype=np.int8)[:, None], np.int8(-9)).max(axis=0)
+# Per decimal exponent e, from floor(log10) of the least subnormal to the
+# largest double's exponent after a carry, each table's entry in row
+# e - _E_LO: the correctly rounded 10**(11 - e) the mantissa is scaled by,
+# the digit the dot follows (-1 when a "0." prefix holds it), the slots of
+# that prefix and its zeros, and the slots of the exponent text.
+_E_LO, _E_HI = -324, 309
+_EXPONENT = np.arange(_E_LO, _E_HI + 1)
+_SCALE = np.array([float(f"1e{k}") for k in np.clip(11 - _EXPONENT, -297, 308).tolist()])
+_FIXED = (_EXPONENT >= -4) & (_EXPONENT < 12)
+_POINT = np.where(_FIXED, np.maximum(_EXPONENT, -1), 0).astype(np.int8)
+_PREFIX = ((_FIXED & (np.array([0, 0, -1, -2, -3])[:, None] > _EXPONENT))
+           * np.array([_ZERO, _DOT, _ZERO, _ZERO, _ZERO], np.uint8)[:, None])
+_POWER = np.abs(_EXPONENT)
+_SUFFIX = (~_FIXED * np.array([
+    np.full(_EXPONENT.size, _E), np.where(_EXPONENT < 0, _MINUS, _PLUS),
+    (_POWER >= 100) * (_POWER // 100 + _ZERO), _POWER // 10 % 10 + _ZERO, _POWER % 10 + _ZERO,
+])).astype(np.uint8)
+_DIGIT = np.arange(12, dtype=np.int8)[:, None]
 
 
 def _fmt(x: float) -> str:
@@ -62,42 +83,40 @@ def _number_layout(x):
     exponent.  s carries at most ~2e-4 of rounding error, so a value is
     certified only when 1e11 <= s < 1e12 and frac(s) is more than 1e-3 from
     one half; zeros, near-ties, subnormals and misestimated exponents go
-    through % itself."""
+    through % itself.  Apart from the sign, every slot of a certified value
+    is looked up: its digits and last nonzero digit by 4-digit group, the
+    rest by e."""
     a = np.abs(x)
     e = np.floor(np.log10(np.maximum(a, np.finfo(float).smallest_subnormal))).astype(np.int32)
-    s = a * _POW10[np.clip(11 - e, _POW10_LO, _POW10_HI) - _POW10_LO]
+    e -= _E_LO  # from here on, the row of e in the per-exponent tables
+    s = a * _SCALE.take(e, mode="clip")
     certified = (s >= 1e11) & (s < 1e12) & (np.abs(s - np.floor(s) - 0.5) > 1e-3)
-    mantissa = np.rint(s)  # below 1e13 even where not certified
+    mantissa = np.rint(s, out=s)  # below 1e13 even where not certified
     carry = mantissa == 1e12
     mantissa[carry] = 1e11
     e += carry
-    high, low = np.divmod(mantissa.astype(np.int64), 1000000)
-    digits = np.concatenate([half.astype(np.int32) // _PLACES6 % 10 for half in (high, low)],
-                            dtype=np.uint8, casting="unsafe")
-    # the last nonzero digit; the digits after it are dropped zeros
-    last = 11 - np.argmax(digits[::-1] != 0, axis=0)
-    fixed = (e >= -4) & (e < 12)
-    below_one = fixed & (e < 0)
-    point = np.where(fixed & (e >= 0), e, 0)  # the digit the dot follows
+    whole = mantissa.astype(np.int64)
+    high = whole // 100000000
+    rest = (whole - high * 100000000).astype(np.int32)
+    middle = rest // 10000
+    groups = high.astype(np.int32), middle, rest - middle * 10000
+    point = _POINT.take(e, mode="clip")
 
-    layout = np.zeros((35, x.size), np.uint8)
-    layout[0] = (x < 0) * _MINUS
-    layout[1] = below_one * _ZERO
-    layout[2] = below_one * _DOT
-    for i in range(3):
-        layout[3 + i] = (below_one & (e <= -2 - i)) * _ZERO
-    digits += _ZERO
+    layout = np.empty((35, x.size), np.uint8)
+    np.less(x, 0, out=layout[0])
+    layout[0] *= _MINUS
+    np.take(_PREFIX, e, axis=1, out=layout[1:6], mode="clip")
+    digits = layout[6:30:2]
+    last = np.full(x.size, -9, np.int8)  # the last nonzero digit
+    for i, group in enumerate(groups):
+        digits[4 * i:4 * i + 4] = _GROUP_TEXT.take(group, mode="clip").view(np.uint8).reshape(-1, 4).T
+        np.maximum(last, _GROUP_LAST.take(group, mode="clip") + 4 * i, out=last)
     digits *= _DIGIT <= np.maximum(last, point)
-    layout[6:30:2] = digits
-    dotted = np.flatnonzero((last > point) & ~below_one)
-    layout[7 + 2 * point[dotted], dotted] = _DOT
-    scientific = ~fixed
-    power = np.abs(e)
-    layout[30] = scientific * _E
-    layout[31] = scientific * np.where(e < 0, _MINUS, _PLUS)
-    layout[32] = (scientific & (power >= 100)) * (power // 100 + _ZERO)
-    layout[33] = scientific * (power // 10 % 10 + _ZERO)
-    layout[34] = scientific * (power % 10 + _ZERO)
+    dots = layout[7:30:2]
+    np.equal(_DIGIT, point, out=dots)
+    dots &= last > point
+    dots *= _DOT
+    np.take(_SUFFIX, e, axis=1, out=layout[30:35], mode="clip")
     return _fall_back(layout, x, certified)
 
 

@@ -1065,6 +1065,32 @@ def test_number_kernel_writes_what_percent_writes_at_powers_of_ten():
     assert _kernel_text(values) == [svg.NUMBER_FORMAT % v for v in values]
 
 
+def test_number_kernel_writes_what_percent_writes_at_every_group_and_exponent():
+    from polariton import svg
+
+    # a zero group, trailing zeros within and across groups, every digit, a carry
+    mantissas = ["100000000000", "100000000001", "100010000000", "100000010000",
+                 "120000000000", "123400005678", "999999999999", "999999999999.5"]
+    values = [float(f"{m}e{e - 11}") for e in range(-323, 309) for m in mantissas]
+    # every value of each 4-digit group, in fixed, below-one and scientific text
+    groups = np.arange(10000)
+    for e in (5, -3, 17):
+        values += [float(f"{m}e{e - 11}") for m in np.r_[
+            np.maximum(groups, 1000) * 10**8, 10**11 + groups * 10**4, 10**11 + groups,
+        ].tolist()]
+    values = [v for v in values if v < np.finfo(float).max]
+    values += [-v for v in values]
+    assert _kernel_text(values) == [svg.NUMBER_FORMAT % v for v in values]
+
+
+def test_number_kernel_memory_holds_one_block():
+    from polariton import svg
+
+    block = np.random.default_rng(7).normal(size=svg.BLOCK_CELLS)
+    # the 35-slot layout, the float temporaries and int32 groups
+    assert _traced_peak(lambda: svg._number_layout(block)) < 2.25e6
+
+
 def _m4_reference(px, py):
     """The points a chart draws, one run at a time: of each run of
     consecutive points in one integer pixel column, the first, the last, the
