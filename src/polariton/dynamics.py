@@ -24,7 +24,7 @@ from .model import (
     BUILDERS,
     HilbertSpec,
     ModelParams,
-    annihilation_matrix,
+    _boson_ladder,
     build_bilinear_hamiltonian,
     default_spec,
 )
@@ -199,10 +199,14 @@ def vacuum_correlation_spectrum(
         spec = default_spec("bilinear", params, 12)
     h = build_bilinear_hamiltonian(params, spec)
     dec = eigendecompose(h, seed=seed)
-    ground = dec.eigenvectors[:, 0]
-    a1 = annihilation_matrix(spec.photon_dim)
-    x_full = np.kron(a1 + a1.T, np.eye(spec.matter_dim))
-    amps = dec.eigenvectors.conj().T @ (x_full @ ground)
+    # X = a + a^dag on the photon index of the photon x matter view: row n
+    # takes sqrt(n) psi[n - 1] + sqrt(n + 1) psi[n + 1], in that order
+    ground = dec.eigenvectors[:, 0].reshape(spec.photon_dim, spec.matter_dim)
+    roots = _boson_ladder(spec.photon_dim)[0][:, None]
+    x_ground = np.zeros_like(ground)
+    x_ground[1:] = roots * ground[:-1]
+    x_ground[:-1] += roots * ground[1:]
+    amps = dec.eigenvectors.conj().T @ x_ground.ravel()
     weights = np.abs(amps) ** 2
     lines = dec.eigenvalues - dec.eigenvalues[0]
     total = float(weights.sum())

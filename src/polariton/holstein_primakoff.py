@@ -6,13 +6,15 @@ The spin-to-boson map used here is
     J_minus = sqrt(2j) * b^dag * sqrt(1 - b^dag b / 2j)
     J_z     = j - b^dag b
 
-evaluated as exact matrices on the (2j+1)-dimensional boson space
-n = 0..2j.  The boson occupation n counts steps below the maximal
-projection, |n> = |j, m = j - n>, so raising m lowers n.  The square root
-factor is diagonal; its argument vanishes at n = 2j, which clamps the top
-level instead of extending the space.  On this truncated space the map is
-exact, not approximate: sqrt(2j - (n-1)) * sqrt(n) = sqrt(n(2j - n + 1))
-reproduces the angular momentum ladder amplitudes identically.
+evaluated on the (2j+1)-dimensional boson space n = 0..2j.  The boson
+occupation n counts steps below the maximal projection,
+|n> = |j, m = j - n>, so raising m lowers n.  The square root factor is
+diagonal; its argument vanishes at n = 2j, which clamps the top level
+instead of extending the space.  On this truncated space the map is exact,
+not approximate: sqrt(2j - (n-1)) * sqrt(n) = sqrt(n(2j - n + 1))
+reproduces the angular momentum ladder amplitudes identically.  Each
+operator is kept as its amplitude vector, and a product of two as a
+shifted elementwise product of their vectors.
 
 Note the orientation differs from the model builders, which count matter
 excitations upward from the collective ground state.  Spectra and gaps are
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .model import ModelParams, build_dicke_hamiltonian, default_spec
+from .model import ModelParams, _spin_ladder, build_dicke_hamiltonian, default_spec
 from .spectral import DEFAULT_SEED, eigendecompose, normal_modes
 
 
@@ -50,43 +52,40 @@ class SpinRep:
 
 
 def hp_operators(rep: SpinRep):
-    """(J_plus, J_minus, J_z) on the boson space n = 0..2j.
-
-    The sqrt arguments n(2j - n + 1) are exact integers, so the matrices are
-    accurate to one rounding of sqrt each.
-    """
-    dim = rep.dimension
-    n = np.arange(1, dim)
-    # <n-1| J_plus |n> = sqrt(2j - (n-1)) * sqrt(n) = sqrt(n (2j - n + 1))
-    amp = np.sqrt((n * (rep.two_j - n + 1)).astype(float))
-    return np.diag(amp, 1), np.diag(amp, -1), np.diag(rep.j - np.arange(dim).astype(float))
+    """(amplitudes, j_z) on the boson space n = 0..2j: the entries
+    <n-1| J_plus |n> = sqrt(n (2j - n + 1)) for n = 1..2j, the builders'
+    amplitudes mirrored, each one rounding of the sqrt of an exact integer;
+    and the diagonal of J_z."""
+    amp = _spin_ladder(rep.two_j, np.arange(rep.two_j))[::-1]
+    return amp, rep.j - np.arange(rep.dimension).astype(float)
 
 
 def ladder_reference(rep: SpinRep):
-    """(J_plus, J_minus, J_z) in this ordering (m = j - n descending with n)
-    from the angular momentum formula sqrt(j(j+1) - m(m+1)) itself.  Used as
-    the independent comparison: hp_operators and the model builders both
-    use the integer form of the amplitudes."""
+    """(amplitudes, m) in this ordering (m = j - n descending with n) from the
+    angular momentum formula sqrt(j(j+1) - m(m+1)) itself.  Used as the
+    independent comparison: hp_operators and the model builders both use
+    the integer form of the amplitudes."""
     j = rep.two_j / 2.0
     m = j - np.arange(rep.dimension)
-    amp = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
-    return np.diag(amp, 1), np.diag(amp, -1), np.diag(m)
+    return np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), m
 
 
 def hp_exactness_error(rep: SpinRep) -> float:
-    """Max element-wise deviation between the bosonized operators and the
-    ladder matrices; zero up to sqrt rounding for any j."""
+    """Max deviation between the bosonized amplitudes and J_z diagonal and
+    the angular momentum ones; zero up to sqrt rounding for any j."""
     built = hp_operators(rep)
     ref = ladder_reference(rep)
     return float(max(np.max(np.abs(b - r)) for b, r in zip(built, ref)))
 
 
 def commutator_residual(rep: SpinRep) -> float:
-    """Max deviation of [J_plus, J_minus] = 2 J_z and [J_z, J_pm] = pm J_pm."""
-    j_plus, j_minus, j_z = hp_operators(rep)
-    r1 = np.max(np.abs(j_plus @ j_minus - j_minus @ j_plus - 2.0 * j_z))
-    r2 = np.max(np.abs(j_z @ j_plus - j_plus @ j_z - j_plus))
-    r3 = np.max(np.abs(j_z @ j_minus - j_minus @ j_z + j_minus))
+    """Max deviation of [J_plus, J_minus] = 2 J_z and [J_z, J_pm] = pm J_pm,
+    each commutator's one diagonal rounded as the dense products round it."""
+    amp, j_z = hp_operators(rep)
+    square = amp * amp
+    r1 = np.max(np.abs(np.r_[square, 0.0] - np.r_[0.0, square] - 2.0 * j_z))
+    r2 = np.max(np.abs(j_z[:-1] * amp - amp * j_z[1:] - amp))
+    r3 = np.max(np.abs(j_z[1:] * amp - amp * j_z[:-1] + amp))
     return float(max(r1, r2, r3))
 
 

@@ -269,22 +269,6 @@ def _spin_ladder(n_atoms: int, k):
     return np.sqrt((n_atoms - k) * (k + 1.0))
 
 
-def annihilation_matrix(dim: int) -> np.ndarray:
-    """Truncated boson annihilation operator, a|n> = sqrt(n)|n-1>."""
-    return np.diag(_boson_ladder(dim)[0], 1)
-
-
-def spin_ladder_matrices(n_atoms: int):
-    """(J_plus, J_minus, J_z) for the maximal sector j = N/2.
-
-    Basis ordering follows the package convention: index k = m + j ascending,
-    so entry (k+1, k) of J_plus carries sqrt(j(j+1) - m(m+1)).
-    """
-    k = np.arange(n_atoms + 1, dtype=float)
-    amp = _spin_ladder(n_atoms, k[:-1])
-    return np.diag(amp, -1), np.diag(amp, 1), np.diag(k - n_atoms / 2.0)
-
-
 def _refuse_unbuildable(spec: HilbertSpec) -> None:
     """scipy's graph and LU kernels index with C int, so a larger product
     dimension could never be solved; it is refused as the failed allocation
@@ -321,8 +305,8 @@ def _identities(spec: HilbertSpec):
 
 def _kron_sum(terms) -> HermitianOperator:
     """Upper triangle of sum(coef * kron(P, M)) over the terms (coef, P, M),
-    each factor a list of (offset, values) diagonals placed as np.diag
-    places them.  Photon offset dp and matter offset dm land on product
+    each factor a list of (offset, values) diagonals, offset d holding the
+    entries (i, i + d) in ascending i.  Photon offset dp and matter offset dm land on product
     diagonal dp * matter_dim + dm, an upper one iff (dp, dm) >= (0, 0), and
     a term adds coef * (vp[:, None] * vm) there.  Added in term order, these
     are the bits scipy.sparse's kron, scaling and sum give.  The diagonals

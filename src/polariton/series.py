@@ -34,7 +34,7 @@ class Trajectory:
     """Labeled channels sampled on a uniform time grid starting at t = 0.
 
     Channel arrays may be real or complex; their leading axis must match the
-    time grid (full state histories keep the state index on axis 1).
+    time grid.
     """
 
     times: np.ndarray

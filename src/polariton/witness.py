@@ -230,12 +230,12 @@ def gaussian_ground_state(params: ModelParams) -> GaussianState:
     modes = normal_modes(params)
     r = modes.mode_matrix
     omegas = np.array([modes.omega_minus, modes.omega_plus])
-    vx = r @ np.diag(0.5 / omegas) @ r.T
-    vp = r @ np.diag(0.5 * omegas) @ r.T
-    scale = np.diag([math.sqrt(params.omega_a), math.sqrt(params.omega_b)])
-    inv = np.diag([1.0 / math.sqrt(params.omega_a), 1.0 / math.sqrt(params.omega_b)])
-    xx = scale @ vx @ scale
-    pp = inv @ vp @ inv
+    vx = (r * (0.5 / omegas)) @ r.T
+    vp = (r * (0.5 * omegas)) @ r.T
+    scale = np.array([math.sqrt(params.omega_a), math.sqrt(params.omega_b)])
+    inv = np.array([1.0 / math.sqrt(params.omega_a), 1.0 / math.sqrt(params.omega_b)])
+    xx = scale[:, None] * vx * scale
+    pp = inv[:, None] * vp * inv
     cov = np.zeros((4, 4))
     cov[np.ix_((0, 2), (0, 2))] = xx
     cov[np.ix_((1, 3), (1, 3))] = pp

@@ -40,19 +40,36 @@ def test_su2_commutators_close_on_the_truncated_ladder():
     assert worst <= 1e-12
 
 
+def test_commutators_of_the_vectors_are_the_dense_products_bit_for_bit():
+    # the shifted products round as the matrix products of the np.diag
+    # matrices do, so the residual is that of the dense commutators exactly
+    for two_j in (1, 2, 3, 7, 40, 99, 100):
+        rep = SpinRep(two_j / 2.0)
+        amp, m = hp_operators(rep)
+        jp, jm, jz = np.diag(amp, 1), np.diag(amp, -1), np.diag(m)
+        dense = max(
+            np.max(np.abs(jp @ jm - jm @ jp - 2.0 * jz)),
+            np.max(np.abs(jz @ jp - jp @ jz - jp)),
+            np.max(np.abs(jz @ jm - jm @ jz + jm)),
+        )
+        assert commutator_residual(rep) == dense, two_j
+
+
 def test_reference_ladder_is_itself_su2():
     rep = SpinRep(5.0)
-    jp, jm, jz = ladder_reference(rep)
+    amp, m = ladder_reference(rep)
+    jp, jm, jz = np.diag(amp, 1), np.diag(amp, -1), np.diag(m)
     assert np.allclose(jp @ jm - jm @ jp, 2.0 * jz, atol=1e-12)
     assert np.allclose(jp, jm.conj().T, atol=1e-15)
 
 
 def test_half_spin_map_is_pauli():
-    jp, jm, jz = hp_operators(SpinRep(0.5))
+    amp, jz = hp_operators(SpinRep(0.5))
+    jp = np.diag(amp, 1)
     # j=1/2: one allowed raising element of unit size, jz = diag(1/2, -1/2)
     assert np.count_nonzero(jp) == 1
     assert np.max(np.abs(jp)) == pytest.approx(1.0, abs=1e-15)
-    assert sorted(np.diag(jz).tolist()) == [-0.5, 0.5]
+    assert sorted(jz.tolist()) == [-0.5, 0.5]
 
 
 def test_gap_converges_to_bilinear_limit():

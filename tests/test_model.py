@@ -19,16 +19,14 @@ from polariton.model import (
     HilbertSpec,
     ModelParams,
     StateVector,
-    annihilation_matrix,
     build_bilinear_hamiltonian,
     build_dicke_hamiltonian,
     build_jc_rwa_hamiltonian,
     default_spec,
     expectation,
-    spin_ladder_matrices,
     total_excitation_operator,
 )
-from polariton.model import _spin_ladder
+from polariton.model import _boson_ladder, _spin_ladder
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -123,18 +121,33 @@ def test_hilbert_index_is_photon_major():
         spec.index(0, 5)
 
 
+def _annihilation(dim):
+    """The dense truncated annihilation operator, a|n> = sqrt(n)|n-1>."""
+    return np.diag(_boson_ladder(dim)[0], 1)
+
+
+def _spin_matrices(n_atoms):
+    """Dense (J_plus, J_minus, J_z) of the j = N/2 ladder in the package
+    ordering, rung k = m + j ascending: entry (k+1, k) of J_plus carries the
+    builders' amplitude at rung k."""
+    k = np.arange(n_atoms + 1, dtype=float)
+    amp = _spin_ladder(n_atoms, k[:-1])
+    return np.diag(amp, -1), np.diag(amp, 1), np.diag(k - n_atoms / 2.0)
+
+
 def test_annihilation_matrix_entries():
-    a = annihilation_matrix(4)
+    a = _annihilation(4)
     expected = np.zeros((4, 4))
     for n in range(1, 4):
         expected[n - 1, n] = math.sqrt(n)
     assert np.array_equal(a, expected)
     number = a.conj().T @ a
     assert np.allclose(np.diag(number), [0, 1, 2, 3], atol=1e-15)
+    assert np.array_equal(_boson_ladder(4)[1], np.diag(number))
 
 
 def test_spin_ladder_single_atom_is_pauli():
-    jp, jm, jz = spin_ladder_matrices(1)
+    jp, jm, jz = _spin_matrices(1)
     assert np.array_equal(jz, np.diag([-0.5, 0.5]))
     assert np.array_equal(jp, np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert np.array_equal(jm, jp.T)
@@ -143,7 +156,7 @@ def test_spin_ladder_single_atom_is_pauli():
 def test_spin_ladder_su2_algebra():
     # [J+, J-] = 2 Jz and [Jz, J+-] = +- J+- hold exactly for small N
     for n in (1, 2, 3, 7):
-        jp, jm, jz = spin_ladder_matrices(n)
+        jp, jm, jz = _spin_matrices(n)
         assert np.allclose(jp @ jm - jm @ jp, 2.0 * jz, atol=1e-13)
         assert np.allclose(jz @ jp - jp @ jz, jp, atol=1e-13)
         assert np.allclose(jz @ jm - jm @ jz, -jm, atol=1e-13)
@@ -172,7 +185,7 @@ def test_bilinear_matches_manual_construction():
     p = ModelParams.from_collective(1.0, 1.0, 0.2)
     spec = HilbertSpec(photon_cutoff=3, matter_dim=4)
     h = build_bilinear_hamiltonian(p, spec).to_dense()
-    a = annihilation_matrix(4)
+    a = _annihilation(4)
     ia = np.kron(a, np.eye(4))
     ib = np.kron(np.eye(4), a)
     manual = (
@@ -223,15 +236,15 @@ def test_hermitian_storage_round_trip():
 def _dense_reference(model, p, spec):
     """The Hamiltonian (or, for "excitation", a^dag a + J_z + j) as a dense
     sum of np.kron products."""
-    a = annihilation_matrix(spec.photon_dim)
+    a = _annihilation(spec.photon_dim)
     eye_p, eye_m = np.eye(spec.photon_dim), np.eye(spec.matter_dim)
     if model == "bilinear":
-        b = annihilation_matrix(spec.matter_dim)
+        b = _annihilation(spec.matter_dim)
         h = p.omega_a * np.kron(a.T @ a, eye_m)
         h += p.omega_b * np.kron(eye_p, b.T @ b)
         h += p.collective_coupling * np.kron(a + a.T, b + b.T)
         return h
-    jp, jm, jz = spin_ladder_matrices(p.n_atoms)
+    jp, jm, jz = _spin_matrices(p.n_atoms)
     excitation = jz + p.total_spin * eye_m
     if model == "excitation":
         number = np.diag(np.arange(spec.photon_dim, dtype=float))

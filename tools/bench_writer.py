@@ -36,8 +36,7 @@ import numpy as np
 REPEATS = 15
 SMOKE_REPEATS = 2
 SMOKE_ROWS = 40
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "POLARITON_NUM_THREADS")
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LIBRARIES = ("numpy", "scipy")
 SHAPES = ("number_layout_block", "write_csv_grid_transmission", "write_csv_rabi_flop",
           "write_csv_semiclassical")

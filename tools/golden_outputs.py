@@ -67,6 +67,12 @@ CASES = [
     ),
     ("semiclassical", ["dynamics", "semiclassical", *ALL_FORMATS], {"initial": {"a_re": 0.1}}),
     ("vacuum-correlation", ["dynamics", "vacuum-correlation", *ALL_FORMATS], {}),
+    # X = a + a^dag on the ground vector as shifted products: here a few of
+    # its components differ from a dense matrix-vector product by about an ulp
+    ("vacuum-correlation-cutoff-20", ["dynamics", "vacuum-correlation", *ALL_FORMATS], {
+        "hilbert": {"photon_cutoff": 20},
+        "params": {"g": 0.4},
+    }),
     ("classical-n-sweep", ["classical", *ALL_FORMATS], {
         "model": "classical",
         "cavity": REFERENCE_CAVITY,
