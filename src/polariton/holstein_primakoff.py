@@ -1,24 +1,22 @@
 """Exact bosonization of the pseudo-spin ladder and its bosonic limit.
 
-The spin-to-boson map used here is
+The spin-to-boson map used here is, in its low-excitation form,
 
-    J_plus  = sqrt(2j) * sqrt(1 - b^dag b / 2j) * b
-    J_minus = sqrt(2j) * b^dag * sqrt(1 - b^dag b / 2j)
-    J_z     = j - b^dag b
+    J_plus  = b^dag sqrt(2j - b^dag b)
+    J_minus = sqrt(2j - b^dag b) b
+    J_z     = b^dag b - j
 
 evaluated on the (2j+1)-dimensional boson space n = 0..2j.  The boson
-occupation n counts steps below the maximal projection,
-|n> = |j, m = j - n>, so raising m lowers n.  The square root factor is
-diagonal; its argument vanishes at n = 2j, which clamps the top level
-instead of extending the space.  On this truncated space the map is exact,
-not approximate: sqrt(2j - (n-1)) * sqrt(n) = sqrt(n(2j - n + 1))
-reproduces the angular momentum ladder amplitudes identically.  Each
-operator is kept as its amplitude vector, and a product of two as a
-shifted elementwise product of their vectors.
-
-Note the orientation differs from the model builders, which count matter
-excitations upward from the collective ground state.  Spectra and gaps are
-unaffected; only the basis ordering is mirrored.
+occupation n counts excitations up from the collective ground state,
+|n> = |j, m = n - j>, which is the model builders' matter index k.  The
+square root factor is diagonal; its argument vanishes at n = 2j, which
+clamps the top level instead of extending the space.  On this truncated
+space the map is exact, not approximate: sqrt(n + 1) * sqrt(2j - n) =
+sqrt((2j - n)(n + 1)) reproduces the angular momentum ladder amplitudes
+identically.  For <b^dag b> << 2j, J_plus -> sqrt(2j) b^dag: that limit is
+the bilinear model's matter oscillator.  Each operator is kept as its
+amplitude vector, and a product of two as a shifted elementwise product of
+their vectors.
 """
 from __future__ import annotations
 
@@ -27,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .model import ModelParams, _spin_ladder, build_dicke_hamiltonian, default_spec
+from .model import ModelParams, _spin_factors, build_dicke_hamiltonian, default_spec
 from .spectral import DEFAULT_SEED, eigendecompose, normal_modes
 
 
 @dataclass(frozen=True)
 class SpinRep:
-    """Total spin j; 2j must be a non-negative integer."""
+    """Total spin j; 2j must be a positive integer."""
 
     j: float
 
@@ -53,21 +51,21 @@ class SpinRep:
 
 def hp_operators(rep: SpinRep):
     """(amplitudes, j_z) on the boson space n = 0..2j: the entries
-    <n-1| J_plus |n> = sqrt(n (2j - n + 1)) for n = 1..2j, the builders'
-    amplitudes mirrored, each one rounding of the sqrt of an exact integer;
-    and the diagonal of J_z."""
-    amp = _spin_ladder(rep.two_j, np.arange(rep.two_j))[::-1]
-    return amp, rep.j - np.arange(rep.dimension).astype(float)
+    <n+1| J_plus |n> = sqrt((2j - n)(n + 1)) for n = 0..2j-1, the builders'
+    own amplitudes, each one rounding of the sqrt of an exact integer; and
+    the diagonal n - j of J_z."""
+    amp, k = _spin_factors(rep.two_j, rep.dimension)
+    return amp, k - rep.j
 
 
 def ladder_reference(rep: SpinRep):
-    """(amplitudes, m) in this ordering (m = j - n descending with n) from the
+    """(amplitudes, m) in this ordering (m = n - j ascending with n) from the
     angular momentum formula sqrt(j(j+1) - m(m+1)) itself.  Used as the
     independent comparison: hp_operators and the model builders both use
     the integer form of the amplitudes."""
     j = rep.two_j / 2.0
-    m = j - np.arange(rep.dimension)
-    return np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), m
+    m = np.arange(rep.dimension) - j
+    return np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0)), m
 
 
 def hp_exactness_error(rep: SpinRep) -> float:
@@ -83,9 +81,9 @@ def commutator_residual(rep: SpinRep) -> float:
     each commutator's one diagonal rounded as the dense products round it."""
     amp, j_z = hp_operators(rep)
     square = amp * amp
-    r1 = np.max(np.abs(np.r_[square, 0.0] - np.r_[0.0, square] - 2.0 * j_z))
-    r2 = np.max(np.abs(j_z[:-1] * amp - amp * j_z[1:] - amp))
-    r3 = np.max(np.abs(j_z[1:] * amp - amp * j_z[:-1] + amp))
+    r1 = np.max(np.abs(np.r_[0.0, square] - np.r_[square, 0.0] - 2.0 * j_z))
+    r2 = np.max(np.abs(j_z[1:] * amp - amp * j_z[:-1] - amp))
+    r3 = np.max(np.abs(j_z[:-1] * amp - amp * j_z[1:] + amp))
     return float(max(r1, r2, r3))
 
 

@@ -72,10 +72,6 @@ class ModelParams:
     def collective_coupling(self) -> float:
         return self.g * math.sqrt(self.n_atoms)
 
-    @property
-    def total_spin(self) -> float:
-        return self.n_atoms / 2.0
-
     def _coupling_ratio(self) -> float:
         """4 lambda^2 / (wa*wb); the bilinear model is stable below 1.
 
@@ -270,10 +266,11 @@ def _spin_ladder(n_atoms: int, k):
 
 
 def _refuse_unbuildable(spec: HilbertSpec) -> None:
-    """scipy's graph and LU kernels index with C int, so a larger product
-    dimension could never be solved; it is refused as the failed allocation
-    it would become.  So is one whose lower-bound cost exceeds the physical
-    memory.  Each builder calls this before it allocates anything."""
+    """scipy's graph kernels (connected components, reverse Cuthill-McKee)
+    and its LAPACK routines index with C int, so a larger product dimension
+    could never be solved; it is refused as the failed allocation it would
+    become.  So is one whose lower-bound cost exceeds the physical memory.
+    Each builder calls this before it allocates anything."""
     if spec.dimension > np.iinfo(np.intc).max:
         raise MemoryError(
             f"cannot index a Hamiltonian of dimension {spec.photon_dim:.6g} x "
@@ -286,16 +283,16 @@ def _refuse_unbuildable(spec: HilbertSpec) -> None:
                           f"bytes, more than the {memory:.3g} bytes of physical memory")
 
 
-def _spin_factors(params: ModelParams, spec: HilbertSpec):
-    """The J_plus amplitudes and the diagonal of J_z + j; the matter block
-    must be the full j = N/2 ladder."""
-    if spec.matter_dim != params.n_atoms + 1:
+def _spin_factors(n_atoms: int, matter_dim: int):
+    """The J_plus amplitudes <k+1|J_plus|k> and the diagonal k of J_z + j;
+    the matter block must be the full j = N/2 ladder."""
+    if matter_dim != n_atoms + 1:
         raise ConfigurationError(
             f"matter block needs matter_dim = n_atoms + 1 = "
-            f"{params.n_atoms + 1}, got {spec.matter_dim}"
+            f"{n_atoms + 1}, got {matter_dim}"
         )
-    k = np.arange(spec.matter_dim, dtype=float)
-    return _spin_ladder(params.n_atoms, k[:-1]), k
+    k = np.arange(matter_dim, dtype=float)
+    return _spin_ladder(n_atoms, k[:-1]), k
 
 
 def _identities(spec: HilbertSpec):
@@ -338,7 +335,7 @@ def build_dicke_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermitian
     matter_dim == n_atoms + 1 (the full maximal-j ladder).
     """
     _refuse_unbuildable(spec)
-    jp, excitation = _spin_factors(params, spec)
+    jp, excitation = _spin_factors(params.n_atoms, spec.matter_dim)
     eye_p, eye_m = _identities(spec)
     a, number = _boson_ladder(spec.photon_dim)
     return _kron_sum([(params.omega_a, [(0, number)], eye_m),
@@ -371,7 +368,7 @@ def build_jc_rwa_hamiltonian(params: ModelParams, spec: HilbertSpec) -> Hermitia
     Conserves the total excitation number a^dag a + J_z + j.
     """
     _refuse_unbuildable(spec)
-    jp, excitation = _spin_factors(params, spec)
+    jp, excitation = _spin_factors(params.n_atoms, spec.matter_dim)
     eye_p, eye_m = _identities(spec)
     a, number = _boson_ladder(spec.photon_dim)
     return _kron_sum([(params.omega_a, [(0, number)], eye_m),
@@ -402,7 +399,7 @@ def default_spec(model: str, params: ModelParams, photon_cutoff: int) -> Hilbert
 def total_excitation_operator(params: ModelParams, spec: HilbertSpec) -> HermitianOperator:
     """a^dag a + J_z + j, the quantity conserved by the rotating-wave model."""
     _refuse_unbuildable(spec)
-    _, excitation = _spin_factors(params, spec)
+    _, excitation = _spin_factors(params.n_atoms, spec.matter_dim)
     eye_p, eye_m = _identities(spec)
     number = np.arange(spec.photon_dim, dtype=float)  # exact, unlike a^dag a
     return _kron_sum([(1.0, [(0, number)], eye_m), (1.0, eye_p, [(0, excitation)])])

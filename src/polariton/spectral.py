@@ -121,6 +121,8 @@ def _band_order(block: HermitianOperator, matrix):
     reordered = int(np.max(np.abs(position[block.rows] - position[block.cols])))
     if reordered < natural:
         return reordered, permutation, position
+    # None rather than an identity permutation: its gathers would slow every
+    # shift-invert solve in the natural order
     return natural, None, None
 
 

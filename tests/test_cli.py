@@ -810,6 +810,14 @@ def test_chart_plots_a_span_near_the_largest_float(extreme):
     assert sorted(labels[::2]) == pytest.approx(ticks)
 
 
+def test_a_one_point_chart_sits_at_the_left_edge_and_mid_height():
+    # x has no span, so it is scaled by 1 from its one value; y is widened
+    # to [0.5, 1.5] about its one value
+    from polariton import svg
+
+    assert _polyline_points(svg.line_chart([0.0], [1.0])) == ["80.00,210.00"]
+
+
 def _bit_pattern_floats():
     rng = np.random.default_rng(11)
     random = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)

@@ -13,7 +13,7 @@ from polariton.holstein_primakoff import (
     hp_operators,
     ladder_reference,
 )
-from polariton.model import ModelParams
+from polariton.model import HilbertSpec, ModelParams, build_dicke_hamiltonian
 from polariton.spectral import normal_modes
 
 
@@ -46,7 +46,7 @@ def test_commutators_of_the_vectors_are_the_dense_products_bit_for_bit():
     for two_j in (1, 2, 3, 7, 40, 99, 100):
         rep = SpinRep(two_j / 2.0)
         amp, m = hp_operators(rep)
-        jp, jm, jz = np.diag(amp, 1), np.diag(amp, -1), np.diag(m)
+        jp, jm, jz = np.diag(amp, -1), np.diag(amp, 1), np.diag(m)
         dense = max(
             np.max(np.abs(jp @ jm - jm @ jp - 2.0 * jz)),
             np.max(np.abs(jz @ jp - jp @ jz - jp)),
@@ -55,17 +55,27 @@ def test_commutators_of_the_vectors_are_the_dense_products_bit_for_bit():
         assert commutator_residual(rep) == dense, two_j
 
 
+def test_spin_map_check_reads_the_dicke_builders_factors():
+    # g = omega_b = 1 and one photon row: the coupling entries are the J_plus
+    # amplitudes and the matter diagonal is k = J_z + j, each exactly
+    for n in (1, 2, 3, 7, 40, 100, 200):
+        op = build_dicke_hamiltonian(ModelParams(1.0, 1.0, 1.0, n), HilbertSpec(1, n + 1))
+        amp, jz = hp_operators(SpinRep(n / 2))
+        assert np.array_equal(op.values[op.cols - op.rows == n + 2], amp), n
+        assert np.array_equal(np.diag(op.to_dense())[:n + 1], jz + n / 2), n
+
+
 def test_reference_ladder_is_itself_su2():
     rep = SpinRep(5.0)
     amp, m = ladder_reference(rep)
-    jp, jm, jz = np.diag(amp, 1), np.diag(amp, -1), np.diag(m)
+    jp, jm, jz = np.diag(amp, -1), np.diag(amp, 1), np.diag(m)
     assert np.allclose(jp @ jm - jm @ jp, 2.0 * jz, atol=1e-12)
     assert np.allclose(jp, jm.conj().T, atol=1e-15)
 
 
 def test_half_spin_map_is_pauli():
     amp, jz = hp_operators(SpinRep(0.5))
-    jp = np.diag(amp, 1)
+    jp = np.diag(amp, -1)
     # j=1/2: one allowed raising element of unit size, jz = diag(1/2, -1/2)
     assert np.count_nonzero(jp) == 1
     assert np.max(np.abs(jp)) == pytest.approx(1.0, abs=1e-15)

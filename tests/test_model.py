@@ -63,7 +63,6 @@ def test_collective_coupling_round_trip():
     p = ModelParams.from_collective(1.0, 1.0, 0.2, n_atoms=16)
     assert p.g == pytest.approx(0.05, abs=1e-15)
     assert p.collective_coupling == pytest.approx(0.2, abs=1e-15)
-    assert p.total_spin == 8.0
 
 
 def test_stability_threshold_is_strict():
@@ -245,7 +244,7 @@ def _dense_reference(model, p, spec):
         h += p.collective_coupling * np.kron(a + a.T, b + b.T)
         return h
     jp, jm, jz = _spin_matrices(p.n_atoms)
-    excitation = jz + p.total_spin * eye_m
+    excitation = jz + p.n_atoms / 2 * eye_m
     if model == "excitation":
         number = np.diag(np.arange(spec.photon_dim, dtype=float))
         return np.kron(number, eye_m) + np.kron(eye_p, excitation)
@@ -344,7 +343,7 @@ def _scipy_reference(model, p, spec):
                  (p.collective_coupling, band(pd, (1, a), (-1, a)), band(md, (1, b), (-1, b)))]
     else:
         jp = _m_form(p.n_atoms)
-        excitation = band(md, (0, -p.total_spin + np.arange(md) + p.total_spin))
+        excitation = band(md, (0, -p.n_atoms / 2 + np.arange(md) + p.n_atoms / 2))
         if model == "excitation":
             terms = [(1.0, band(pd, (0, np.arange(pd, dtype=float))), eye_m), (1.0, eye_p, excitation)]
         else:

@@ -654,6 +654,60 @@ def test_a_solver_that_misses_a_blocks_lowest_pair_is_refused(monkeypatch, k):
         eigendecompose(h, k)
 
 
+def test_a_solver_whose_vectors_are_not_orthonormal_is_refused(monkeypatch):
+    # twice the true vectors of [[0, 0.1], [0.1, 5]] still meet the residual
+    # contract, but their Gram matrix is 4 I, a defect of 3
+    import scipy.linalg
+
+    real = np.linalg.eigh
+
+    def doubling(matrix, **kwargs):
+        values, vectors = real(matrix)
+        return values, 2.0 * vectors
+
+    monkeypatch.setattr(scipy.linalg, "eigh", doubling)
+    monkeypatch.setattr(np.linalg, "eigh", doubling)
+    h = HermitianOperator.from_dense([[0.0, 0.1], [0.1, 5.0]])
+    with pytest.raises(NumericalError, match="orthonormality defect 3.000e"):
+        eigendecompose(h)
+
+
+def test_a_failed_banded_cholesky_factor_is_refused(monkeypatch):
+    # pbtrf reporting a leading minor that is not positive definite
+    import scipy.linalg
+
+    real = scipy.linalg.get_lapack_funcs
+
+    def failing(names, arrays):
+        _, pbtrs = real(names, arrays)
+
+        def failed(band, **kwargs):
+            return band, 1
+
+        return failed, pbtrs
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", failing)
+    p = ModelParams.from_collective(1.0, 1.0, 0.2)
+    h = build_bilinear_hamiltonian(p, HilbertSpec(8, 9))
+    with pytest.raises(NumericalError, match=r"Cholesky factor of H - sigma failed \(info 1\)"):
+        eigendecompose(h, k=1, method="krylov")
+
+
+def test_an_unconverged_krylov_iteration_is_refused(monkeypatch):
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def stalling(a, k, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((a.shape[0], 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalling)
+    p = ModelParams.from_collective(1.0, 1.0, 0.2)
+    h = build_bilinear_hamiltonian(p, HilbertSpec(8, 9))
+    with pytest.raises(NumericalError,
+                       match=r"did not converge within 10000 iterations \(0/2 pairs found\)"):
+        eigendecompose(h, k=2, method="krylov")
+
+
 def test_ground_state_phase_is_deterministic():
     p = ModelParams.from_collective(1.0, 1.0, 0.2)
     h = build_bilinear_hamiltonian(p, HilbertSpec(8, 9))

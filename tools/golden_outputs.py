@@ -83,6 +83,10 @@ CASES = [
         "spectrum": {"n_eigenvalues": 1},
         "sweep": {"name": "g", "values": [0.1, 0.2]},
     }),
+    # one point of one eigenvalue: the chart's x axis has no span to scale by
+    ("spectrum-one-eigenvalue-svg", ["spectrum", "--format", "svg"], {
+        "spectrum": {"n_eigenvalues": 1},
+    }),
     ("classical-damped-default-grid", ["classical", *ALL_FORMATS], {
         "model": "classical",
         "cavity": dict(REFERENCE_CAVITY, gamma=5e13),
